@@ -8,11 +8,19 @@ which vanishes together with its derivative at both walls, so every
 reconstructed velocity is exactly divergence free and exactly zero on
 the boundary.  Modes are ordered by total wavenumber p+q with x-major
 tie-breaking.
+
+Galerkin assembly works on the flattened views eta (n, 2, P) and
+deta (n, 4, P) over the P grid nodes, without copying the basis arrays:
+a weighted integral int w f_i f_j dx of one component f becomes the
+symmetric rank-k BLAS update H H^T with H = f sqrt(w), and a vector
+integrand takes one such GEMM per component, so no temporary is larger
+than one (n, P) slab.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +64,15 @@ class StreamBasis:
     wavenumbers: list = field(repr=False)
     eta: np.ndarray = field(repr=False)    # (n, 2, Nx, Ny)
     deta: np.ndarray = field(repr=False)   # (n, 2, 2, Nx, Ny); deta[j,a,b] = d_b eta_a
+
+    @cached_property
+    def grad_gram(self) -> np.ndarray:
+        """G_ij = int grad eta_i : grad eta_j dx, built on first use and
+        shared read-only by every caller."""
+        w = self.grid.quad_weights().ravel()
+        G = sum(_weighted_gram(f, w) for f in _flat(self)[1].swapaxes(0, 1))
+        G.flags.writeable = False
+        return G
 
     def velocity_mode(self, j: int) -> VectorField:
         d = self.deta[j]
@@ -104,40 +121,64 @@ def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray,
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
     g = grid or basis.grid
-    vel = np.einsum("j,jaxy->axy", c, basis.eta)
-    dvel = np.einsum("j,jabxy->abxy", c, basis.deta)
-    return VectorField(g, vel[0], vel[1],
-                       dvel[0, 0], dvel[0, 1], dvel[1, 0], dvel[1, 1])
+    shape = basis.eta.shape[-2:]
+    vel = (c @ basis.eta.reshape(basis.n_modes, -1)).reshape((2,) + shape)
+    dvel = (c @ basis.deta.reshape(basis.n_modes, -1)).reshape((4,) + shape)
+    return VectorField(g, vel[0], vel[1], dvel[0], dvel[1], dvel[2], dvel[3])
+
+
+def _flat(basis: StreamBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Views eta (n, 2, P) and deta (n, 4, P) over the P grid nodes; the
+    deta components are ordered d_x eta_0, d_y eta_0, d_x eta_1, d_y eta_1."""
+    n = basis.n_modes
+    return basis.eta.reshape(n, 2, -1), basis.deta.reshape(n, 4, -1)
+
+
+def _weighted_gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G_ij = sum_k F[i,k] w[k] F[j,k] for F (n, P) and weights w >= 0, as
+    the rank-k update H H^T with H = F sqrt(w); exactly symmetric."""
+    H = F * np.sqrt(w)
+    return H @ H.T
 
 
 def assemble_weighted_gram(basis: StreamBasis, rho: ScalarField) -> np.ndarray:
     """M_ij = int rho eta_i . eta_j dx; SPD whenever rho is bounded below."""
     if np.any(rho.values < 0):
         raise ValueError("rho must be non-negative for a definite mass matrix")
-    w = basis.grid.quad_weights() * rho.values
-    M = np.einsum("iaxy,jaxy,xy->ij", basis.eta, basis.eta, w)
-    return 0.5 * (M + M.T)
+    w = (basis.grid.quad_weights() * rho.values).ravel()
+    eta, _ = _flat(basis)
+    return _weighted_gram(eta[:, 0], w) + _weighted_gram(eta[:, 1], w)
 
 
 def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> np.ndarray:
     """A_ij = int ( (mu/2) sym(grad eta_i) : sym(grad eta_j)
-                    + eps grad eta_i : grad eta_j ) dx."""
+                    + eps grad eta_i : grad eta_j ) dx.
+
+    Every mode is divergence free with d_y eta_1 = -d_x eta_0 exactly, so
+    with a = d_x eta_0 and s = d_y eta_0 + d_x eta_1
+
+        sym(grad eta_i) : sym(grad eta_j) = 8 a_i a_j + 2 s_i s_j,
+
+    which takes two weighted Gram matrices.  The eps term depends on the
+    basis alone and is cached there (`grad_gram`).
+    """
     if np.any(mu_field.values < 0) or eps < 0:
         raise ValueError("viscosity field and eps must be non-negative")
-    w = basis.grid.quad_weights()
-    sym = basis.deta + np.swapaxes(basis.deta, 1, 2)
-    A = np.einsum("iabxy,jabxy,xy->ij", sym, sym, 0.5 * w * mu_field.values)
+    w = (basis.grid.quad_weights() * mu_field.values).ravel()
+    _, d = _flat(basis)
+    A = 4.0 * _weighted_gram(d[:, 0], w) + _weighted_gram(d[:, 1] + d[:, 2], w)
     if eps > 0:
-        A += eps * np.einsum("iabxy,jabxy,xy->ij", basis.deta, basis.deta, w)
-    return 0.5 * (A + A.T)
+        A += eps * basis.grad_gram
+    return A
 
 
 def assemble_advection(basis: StreamBasis, rho: ScalarField,
                        u_field: VectorField) -> np.ndarray:
     """b_i = int (rho u (x) u) : grad eta_i dx."""
     w = basis.grid.quad_weights() * rho.values
-    uu = np.stack([u_field.u, u_field.v])
-    return np.einsum("axy,bxy,iabxy,xy->i", uu, uu, basis.deta, w)
+    u, v = u_field.u, u_field.v
+    uu = np.stack([u * u, u * v, v * u, v * v]) * w
+    return basis.deta.reshape(basis.n_modes, -1) @ uu.ravel()
 
 
 def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,
@@ -148,12 +189,18 @@ def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,
                                - (u . grad) eta_i . eta_j ] dx.
 
     Exact skew symmetry makes the advection energy-neutral for any
-    coefficient vector it acts on.
+    coefficient vector it acts on.  Per component a, the convective field
+    (u . grad) eta_{j,a} is formed node by node and
+    C_ij = int rho eta_i . (u . grad) eta_j takes one GEMM.
     """
-    w = basis.grid.quad_weights() * rho.values
-    uu = np.stack([u_field.u, u_field.v])
-    conv = np.einsum("bxy,jabxy->jaxy", uu, basis.deta)
-    C = np.einsum("iaxy,jaxy,xy->ij", basis.eta, conv, w)
+    w = (basis.grid.quad_weights() * rho.values).ravel()
+    u, v = u_field.u.ravel(), u_field.v.ravel()
+    eta, d = _flat(basis)
+    C = 0.0
+    for a in range(2):
+        conv = d[:, 2 * a] * u
+        conv += d[:, 2 * a + 1] * v
+        C = C + (eta[:, a] * w) @ conv.T
     return 0.5 * (C - C.T)
 
 
@@ -163,9 +210,8 @@ def project_initial(basis: StreamBasis, rho0: ScalarField,
     if rho0.min() <= 0:
         raise ValueError("rho0 must be bounded away from zero")
     M = assemble_weighted_gram(basis, rho0)
-    w = basis.grid.quad_weights()
-    mm = np.stack([m0.u, m0.v])
-    r = np.einsum("axy,iaxy,xy->i", mm, basis.eta, w)
+    mm = np.stack([m0.u, m0.v]) * basis.grid.quad_weights()
+    r = basis.eta.reshape(basis.n_modes, -1) @ mm.ravel()
     try:
         return np.linalg.solve(M, r)
     except np.linalg.LinAlgError as exc:

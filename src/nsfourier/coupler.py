@@ -4,11 +4,13 @@ sub-solvers, the outer time loop, and the continuation sweep driver.
 Each time step runs a Picard iteration: the density is advected with the
 current velocity iterate, the momentum system is re-solved with that
 density, and the loop repeats until the Galerkin coefficients stop
-moving.  The temperature step closes the step once, after convergence,
-because the momentum step sees only the previous step's temperature
-through the lagged viscosity; re-running it inside the loop would change
-nothing.  On step failure the driver halves dt and retries, up to five
-halvings.
+moving.  Only the new-density mass matrix changes between sweeps, so
+the rest of the momentum system, and mu(theta_old) with it, is built
+once per step.  The temperature step closes the step once, after
+convergence, because the momentum step sees only the previous step's
+temperature through the lagged viscosity; re-running it inside the loop
+would change nothing.  On step failure the time loop halves dt and retries,
+up to five halvings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .config import RunConfig
 from .diagnostics import DiagnosticsRecord, energy_report, step_sinks
 from .errors import RunError, SolverError, StepError
 from .grid import Grid, ScalarField, integrate_values
-from .momentum import step_momentum
+from .momentum import momentum_system, step_momentum
 from .state import FluidState, Trajectory
 from .thermal import ThermalStepParams, dissipation_field, step_temperature
 from .transport import advect_density
@@ -63,19 +65,23 @@ def fixed_point_step(state: FluidState, config: RunConfig,
     mu_old = ScalarField(grid, np.asarray(
         eval_viscosity(laws.viscosity, state.theta.values)))
 
+    # coeffs_k is state.coeffs on the first sweep, so its velocity is the
+    # transport velocity u_old of the advection matrix
+    u_k = reconstruct_velocity(basis, state.coeffs)
+    system = momentum_system(state.coeffs, state.rho, mu_old, basis, dt,
+                             config.eps, u_k)
     coeffs_k = state.coeffs
     rho_new = state.rho
     history = []
     converged = False
-    for _ in range(config.picard_max):
-        u_k = reconstruct_velocity(basis, coeffs_k)
+    for sweep in range(config.picard_max):
+        if sweep:
+            u_k = reconstruct_velocity(basis, coeffs_k)
         if u_k.max_speed() > 0.0:
             rho_new = advect_density(state.rho, u_k, dt)
         else:
             rho_new = state.rho.copy()
-        coeffs_new = step_momentum(state.coeffs, state.rho, rho_new,
-                                   state.theta, basis, dt, config.eps,
-                                   laws.viscosity)
+        coeffs_new = step_momentum(system, rho_new)
         scale = max(float(np.linalg.norm(coeffs_new)),
                     float(np.linalg.norm(coeffs_k)), 1e-300)
         change = float(np.linalg.norm(coeffs_new - coeffs_k)) / scale

@@ -13,17 +13,23 @@ Testing with c_new and using the parallelogram identity for M_old gives
 
 with no residual density-change term, which is the discrete counterpart
 of the kinetic energy identity of the continuous construction.
+
+Within one time step only M_new depends on the Picard iterate (through
+the advected density).  `momentum_system` therefore assembles M_old, A,
+B, M_old/2 + dt (A + B) and M_old c_old once per step, and each sweep's
+`step_momentum` assembles M_new and does the dense solve.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (StreamBasis, assemble_advection_matrix, assemble_viscous,
                     assemble_weighted_gram, reconstruct_velocity)
-from .coefficients import ViscosityLaw, eval_viscosity
 from .errors import SchemeError, StepError
-from .grid import ScalarField
+from .grid import ScalarField, VectorField
 
 ENERGY_TOL = 1e-12
 
@@ -32,34 +38,53 @@ def kinetic_energy(coeffs: np.ndarray, mass: np.ndarray) -> float:
     return 0.5 * float(coeffs @ mass @ coeffs)
 
 
-def step_momentum(coeffs_old: np.ndarray, rho_old: ScalarField,
-                  rho_new: ScalarField, theta: ScalarField,
-                  basis: StreamBasis, dt: float, eps: float,
-                  law: ViscosityLaw) -> np.ndarray:
-    """Advance the Galerkin coefficients by one step of size dt."""
+@dataclass(frozen=True)
+class MomentumSystem:
+    """The part of one step's momentum system that the new density does
+    not touch."""
+    basis: StreamBasis
+    fixed: np.ndarray     # M_old/2 + dt (A + B)
+    rhs: np.ndarray       # M_old c_old
+    e_old: float          # kinetic energy of c_old under M_old
+
+
+def momentum_system(coeffs_old: np.ndarray, rho_old: ScalarField,
+                    mu: ScalarField, basis: StreamBasis, dt: float,
+                    eps: float, u_old: VectorField | None = None
+                    ) -> MomentumSystem:
+    """Assemble the per-step part of the system for viscosity field mu.
+
+    u_old is the velocity of coeffs_old; it is reconstructed when not
+    given."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if rho_old.min() <= 0 or rho_new.min() <= 0:
+    if rho_old.min() <= 0:
         raise ValueError("density must be bounded away from zero")
-    mu = ScalarField(theta.grid, np.asarray(eval_viscosity(law, theta.values)))
     if eps < 0 or (eps == 0.0 and mu.min() <= 0.0):
         raise ValueError("need eps > 0 or a strictly positive viscosity field")
+    if u_old is None:
+        u_old = reconstruct_velocity(basis, coeffs_old)
 
     M_old = assemble_weighted_gram(basis, rho_old)
-    M_new = assemble_weighted_gram(basis, rho_new)
     A = assemble_viscous(basis, mu, eps)
-    u_old = reconstruct_velocity(basis, coeffs_old)
     B = assemble_advection_matrix(basis, rho_old, u_old)
+    return MomentumSystem(basis=basis, fixed=0.5 * M_old + dt * (A + B),
+                          rhs=M_old @ coeffs_old,
+                          e_old=kinetic_energy(coeffs_old, M_old))
 
-    system = 0.5 * (M_new + M_old) + dt * (A + B)
+
+def step_momentum(system: MomentumSystem, rho_new: ScalarField) -> np.ndarray:
+    """Solve the step for the advected density rho_new; returns c_new."""
+    if rho_new.min() <= 0:
+        raise ValueError("density must be bounded away from zero")
+    M_new = assemble_weighted_gram(system.basis, rho_new)
     try:
-        coeffs_new = np.linalg.solve(system, M_old @ coeffs_old)
+        coeffs_new = np.linalg.solve(system.fixed + 0.5 * M_new, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise StepError(f"momentum system is singular: {exc}") from exc
 
-    e_old = kinetic_energy(coeffs_old, M_old)
     e_new = kinetic_energy(coeffs_new, M_new)
-    if e_new > e_old * (1.0 + ENERGY_TOL) + 1e-300:
+    if e_new > system.e_old * (1.0 + ENERGY_TOL) + 1e-300:
         raise SchemeError(
-            f"kinetic energy increased: {e_old!r} -> {e_new!r}")
+            f"kinetic energy increased: {system.e_old!r} -> {e_new!r}")
     return coeffs_new

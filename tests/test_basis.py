@@ -181,3 +181,65 @@ def test_project_initial_round_trip(basis):
     m0 = VectorField(grid, rho0.values * u.u, rho0.values * u.v)
     c = project_initial(basis, rho0, m0)
     assert np.max(np.abs(c - a)) <= 1e-8
+
+
+# Direct einsum forms of the Galerkin integrals, kept here as an oracle
+# for the weighted-GEMM assembly in nsfourier.basis.
+
+def _oracle_gram(basis, rho):
+    w = basis.grid.quad_weights() * rho.values
+    return np.einsum("iaxy,jaxy,xy->ij", basis.eta, basis.eta, w)
+
+
+def _oracle_viscous(basis, mu, eps):
+    w = basis.grid.quad_weights()
+    sym = basis.deta + np.swapaxes(basis.deta, 1, 2)
+    A = np.einsum("iabxy,jabxy,xy->ij", sym, sym, 0.5 * w * mu.values)
+    A += eps * np.einsum("iabxy,jabxy,xy->ij", basis.deta, basis.deta, w)
+    return A
+
+
+def _oracle_advection_matrix(basis, rho, u):
+    w = basis.grid.quad_weights() * rho.values
+    uu = np.stack([u.u, u.v])
+    conv = np.einsum("bxy,jabxy->jaxy", uu, basis.deta)
+    C = np.einsum("iaxy,jaxy,xy->ij", basis.eta, conv, w)
+    return 0.5 * (C - C.T)
+
+
+@pytest.fixture(scope="module")
+def oracle_case():
+    grid = Grid(nx=24, ny=20)
+    small = build_basis(grid, 10)
+    X, Y = grid.nodes()
+    rho = ScalarField(grid, 1.0 + 0.4 * np.sin(2.0 * X) * np.cos(3.0 * Y))
+    mu = ScalarField(grid, 0.2 + X ** 2 + 0.5 * Y)
+    u = reconstruct_velocity(small, np.random.default_rng(8).standard_normal(10))
+    return small, rho, mu, u
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_divergence_free_gradient_identity(basis):
+    assert np.array_equal(basis.deta[:, 1, 1], -basis.deta[:, 0, 0])
+
+
+def test_gram_matches_einsum_oracle(oracle_case):
+    small, rho, _, _ = oracle_case
+    assert _rel_err(assemble_weighted_gram(small, rho),
+                    _oracle_gram(small, rho)) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_viscous_matches_einsum_oracle(oracle_case, eps):
+    small, _, mu, _ = oracle_case
+    assert _rel_err(assemble_viscous(small, mu, eps),
+                    _oracle_viscous(small, mu, eps)) <= 1e-13
+
+
+def test_advection_matrix_matches_einsum_oracle(oracle_case):
+    small, rho, _, u = oracle_case
+    assert _rel_err(assemble_advection_matrix(small, rho, u),
+                    _oracle_advection_matrix(small, rho, u)) <= 1e-13

@@ -45,6 +45,28 @@ def test_picard_contraction():
         assert b < a
 
 
+def test_momentum_invariants_assembled_once_per_step(monkeypatch):
+    import nsfourier.momentum as momentum
+
+    config = small_config(dt=0.005, m0_amplitude=0.05, picard_tol=1e-12)
+    grid = build_grid(config)
+    basis = build_basis(grid, config.n_modes)
+    state = initial_state(config, grid, basis)
+    calls = {}
+    for name in ("assemble_weighted_gram", "assemble_viscous",
+                 "assemble_advection_matrix"):
+        def counted(*args, _fn=getattr(momentum, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(momentum, name, counted)
+    history = []
+    fixed_point_step(state, config, basis, history_out=history)
+    sweeps = len(history)
+    assert sweeps >= 2
+    assert calls == {"assemble_weighted_gram": sweeps + 1,
+                     "assemble_viscous": 1, "assemble_advection_matrix": 1}
+
+
 def test_zero_t_final_gives_initial_state_only():
     traj = run_simulation(small_config(t_final=0.0))
     assert len(traj.states) == 1

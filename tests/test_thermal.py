@@ -195,3 +195,37 @@ def test_input_validation(grid):
                          VectorField.zero(grid),
                          ScalarField.constant(grid, -1.0), params,
                          canonical_laws())
+
+
+def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
+    # kappa(20) ~ 400 puts the round-off floor of the residual at several
+    # 1e-12 of its scale, above the 1e-2 newton_tol stopping level
+    import nsfourier.thermal as thermal
+
+    grid = Grid(nx=24, ny=24)
+    X, Y = grid.nodes()
+    bump = np.cos(np.pi * X) * np.cos(np.pi * Y)
+    theta = ScalarField(grid, 20.0 + bump)
+    rho = ScalarField(grid, 1.0 + 0.05 * bump)
+    laws = canonical_laws()
+    solves = []
+    solve_spd = thermal._solve_spd
+
+    def counted(J, rhs):
+        solves.append(1)
+        return solve_spd(J, rhs)
+
+    monkeypatch.setattr(thermal, "_solve_spd", counted)
+
+    def step(newton_tol):
+        solves.clear()
+        return step_temperature(theta, rho, rho, VectorField.zero(grid),
+                                ScalarField.constant(grid, 0.0),
+                                ThermalStepParams(dt=0.02, delta=0.01,
+                                                  newton_tol=newton_tol),
+                                laws)
+
+    out = step(1e-10)
+    assert len(solves) <= 5
+    tight = step(1e-12)
+    assert np.max(np.abs(out.values - tight.values)) <= 1e-12 * tight.max()
