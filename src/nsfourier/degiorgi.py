@@ -100,8 +100,43 @@ def truncation_phi(theta, C_k: float, omega: float = 0.0):
     return out if out.ndim else float(out)
 
 
+def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder,
+                   delta: float) -> np.ndarray:
+    """Spatial integrals of the three level-energy densities, shape
+    (k_max + 1, n_states, 3): the (delta + rho) phi_k term, the dissipation
+    term and the gradient term of every stored state at every rung.
+
+    Each state's fields (velocity, |D(u)|^2, mu, kappa, |grad theta|^2) are
+    built once for all rungs and dropped before the next state, so memory
+    does not grow with the trajectory.
+    """
+    grid = traj.grid
+    out = np.empty((ladder.k_max + 1, len(traj.states), 3))
+    for j, s in enumerate(traj.states):
+        shifted = s.theta.values + ladder.omega
+        if np.any(shifted == 0.0):
+            raise DegenerateInputError(
+                "truncation is infinite where theta + omega = 0")
+        u = s.velocity(traj.basis)
+        d12 = 0.5 * (u.du_dy + u.dv_dx)
+        dsq = u.du_dx ** 2 + u.dv_dy ** 2 + 2.0 * d12 ** 2
+        mu = np.asarray(eval_viscosity(traj.laws.viscosity, s.theta.values))
+        tgx, tgy = grad_values(grid, s.theta.values)
+        grad_sq = tgx ** 2 + tgy ** 2
+        kap = np.asarray(eval_conductivity(traj.laws.conductivity, s.theta.values))
+        for k, C_k in enumerate(ladder.levels):
+            phi = np.maximum(np.log(C_k / shifted), 0.0)
+            mask = shifted <= C_k
+            out[k, j] = (
+                integrate_values(grid, (delta + s.rho.values) * phi),
+                integrate_values(grid, mask * mu / shifted * dsq),
+                integrate_values(grid, mask * kap / shifted ** 2 * grad_sq))
+    return out
+
+
 def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
-                 delta: float, laws) -> float:
+                 delta: float, laws, *,
+                 integrals: np.ndarray | None = None) -> float:
     """Three-term level energy at ladder rung k:
 
         sup_t  int (delta + rho) phi_k
@@ -109,36 +144,17 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
         + int_t int  kappa(theta)/(theta+omega)^2 1_level |grad theta|^2
 
     with trapezoid time quadrature from t = 0 to the final time.
+    `integrals` is `rung_integrals(traj, ladder, delta)`, passed in when
+    several rungs share it; it is built here otherwise.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
     if k > ladder.k_max:
         raise ValueError("k exceeds the ladder length")
-    grid = traj.grid
-    C_k = float(ladder.levels[k])
-    omega = ladder.omega
-
-    sup_term = 0.0
-    diss_series = []
-    grad_series = []
-    for s in traj.states:
-        shifted = s.theta.values + omega
-        if np.any(shifted == 0.0):
-            raise DegenerateInputError(
-                "truncation is infinite where theta + omega = 0")
-        phi = np.maximum(np.log(C_k / shifted), 0.0)
-        sup_term = max(sup_term,
-                       integrate_values(grid, (delta + s.rho.values) * phi))
-        mask = shifted <= C_k
-        u = s.velocity(traj.basis)
-        d12 = 0.5 * (u.du_dy + u.dv_dx)
-        dsq = u.du_dx ** 2 + u.dv_dy ** 2 + 2.0 * d12 ** 2
-        mu = np.asarray(eval_viscosity(traj.laws.viscosity, s.theta.values))
-        diss_series.append(integrate_values(grid, mask * mu / shifted * dsq))
-        tgx, tgy = grad_values(grid, s.theta.values)
-        kap = np.asarray(eval_conductivity(traj.laws.conductivity, s.theta.values))
-        grad_series.append(integrate_values(
-            grid, mask * kap / shifted ** 2 * (tgx ** 2 + tgy ** 2)))
+    if integrals is None:
+        integrals = rung_integrals(traj, ladder, delta)
+    sup_series, diss_series, grad_series = integrals[k].T
+    sup_term = max(0.0, float(np.max(sup_series)))
 
     times = traj.times
     if len(times) > 1:
@@ -162,7 +178,9 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
     if M is None:
         M = 2.0 * float(np.log(1.0 / theta_floor)) + float(np.log(4.0))
     ladder = DeGiorgiLadder(M=M, omega=omega, k_max=k_max)
-    U = [level_energy(traj, k, ladder, delta, laws) for k in range(k_max + 1)]
+    integrals = rung_integrals(traj, ladder, delta)
+    U = [level_energy(traj, k, ladder, delta, laws, integrals=integrals)
+         for k in range(k_max + 1)]
     ladder.energies = U
     nonincreasing = all(U[k + 1] <= U[k] * (1.0 + 1e-12) + 1e-300
                         for k in range(k_max))

@@ -59,13 +59,17 @@ class Grid:
     def area(self) -> float:
         return self.Lx * self.Ly
 
-    def quad_weights(self) -> np.ndarray:
-        """Trapezoid-rule nodal weights; sums to the domain area."""
+    def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """1-D trapezoid-rule weights along x and along y."""
         wx = np.full(self.nx + 1, self.hx)
         wx[0] = wx[-1] = 0.5 * self.hx
         wy = np.full(self.ny + 1, self.hy)
         wy[0] = wy[-1] = 0.5 * self.hy
-        return np.outer(wx, wy)
+        return wx, wy
+
+    def quad_weights(self) -> np.ndarray:
+        """Trapezoid-rule nodal weights; sums to the domain area."""
+        return np.outer(*self.axis_weights())
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:

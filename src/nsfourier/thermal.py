@@ -10,6 +10,13 @@ variable optionally), the cubic sink is implicit, the dissipation source
 explicit.  A scale-down limiter keeps the advected thermal content from
 exceeding its pre-step integral, so the discrete total energy budget can
 never gain from interpolation error.
+
+With the lagged conductivity the diffusion operator S is fixed for the
+whole step, so successive Newton Jacobians diag(W (a/dt + 3 delta t^2)) - S
+differ only on the diagonal.  The step's first Jacobian is factored once
+by sparse LU and preconditions conjugate gradients for every Newton solve
+of the step; each solve then takes a few iterations and is still checked
+to the same residual tolerance.
 """
 
 from __future__ import annotations
@@ -70,10 +77,7 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
     conservation holds to round-off.  div(kappa grad t) ~ S t / W.
     """
     nxp, nyp = grid.shape
-    wx = np.full(nxp, grid.hx)
-    wx[0] = wx[-1] = 0.5 * grid.hx
-    wy = np.full(nyp, grid.hy)
-    wy[0] = wy[-1] = 0.5 * grid.hy
+    wx, wy = grid.axis_weights()
     ids = np.arange(nxp * nyp).reshape(nxp, nyp)
 
     rows, cols, vals = [], [], []
@@ -97,9 +101,26 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    diag = J.diagonal()
-    precond = spla.LinearOperator(J.shape, matvec=lambda x: x / diag)
+def _factor_preconditioner(J: sp.csr_matrix) -> spla.LinearOperator:
+    """Sparse LU of the SPD Jacobian J, as a preconditioner for CG.
+
+    The minimum-degree ordering is taken on the symmetric pattern and the
+    pivots stay on the diagonal (J is SPD, so no row interchange is
+    needed).  Narrow panels and no relaxed supernodes keep the L and U
+    factors small."""
+    lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+                   panel_size=4, relax=1)
+    return spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
+
+
+def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
+               precond: spla.LinearOperator) -> np.ndarray:
+    """Solve J x = rhs by CG to a relative residual of 1e-12.
+
+    `precond` applies the inverse of a nearby Jacobian, the step's first
+    one, so CG converges in a few iterations; the residual check is on J
+    itself, so the solution does not inherit the factor's round-off."""
     sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=precond)
     if info != 0:
         raise StepError(f"conjugate gradient failed to converge (info={info})")
@@ -168,6 +189,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     # tolerance, as soon as the residual has stopped contracting.
     converged = False
     f_prev = np.inf
+    precond = None
     for _ in range(params.newton_max):
         F = residual(t)
         f_max = float(np.max(np.abs(F)))
@@ -177,8 +199,10 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
         if lagged:
-            J = sp.diags(diag) - S
-            upd = _solve_spd(J.tocsr(), -F)
+            J = (sp.diags(diag) - S).tocsr()
+            if precond is None:
+                precond = _factor_preconditioner(J)
+            upd = _solve_spd(J, -F, precond)
         else:
             kap = np.asarray(eval_conductivity(law, t.reshape(grid.shape))).ravel()
             J = sp.diags(diag) - S1 @ sp.diags(kap)

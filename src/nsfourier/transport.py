@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import StepError
 from .grid import Grid, ScalarField, VectorField
 
 DEFAULT_CFL_CAP = 5.0
@@ -60,13 +61,15 @@ def advect_density(rho: ScalarField, u: VectorField, dt: float,
                    cfl_cap: float = DEFAULT_CFL_CAP) -> ScalarField:
     """One transport step of the continuity equation along characteristics.
 
-    Preserves min/max of rho exactly (discrete maximum principle)."""
+    Preserves min/max of rho exactly (discrete maximum principle).  A step
+    whose displacement exceeds `cfl_cap` cells raises StepError, so the
+    time loop retries it with a smaller dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
     h = min(grid.hx, grid.hy)
     if dt * u.max_speed() > cfl_cap * h:
-        raise ValueError(
+        raise StepError(
             f"dt*max|u| = {dt * u.max_speed():.3g} exceeds CFL cap {cfl_cap}*h = {cfl_cap * h:.3g}")
     return ScalarField(grid, advect_values(grid, rho.values, u, dt))
 

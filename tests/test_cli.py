@@ -67,6 +67,19 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: parse:")
 
 
+def test_run_halves_dt_past_cfl_cap(tmp_path, capsys):
+    # at dt 0.01 the m0 = 1 flow moves 8 cells per step, past the 5-cell
+    # cap; the step is retried at dt 0.005 instead of failing the run
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("[initial]\nm0_amplitude = 1.0\n[time]\nt_final = 0.02\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+    assert "steps = 4" in capsys.readouterr().out
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert times == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02], abs=1e-15)
+
+
 def test_output_dir_env_override(config_path, tmp_path, monkeypatch, capsys):
     target = tmp_path / "env_out"
     monkeypatch.setenv("NSFOURIER_OUTPUT_DIR", str(target))

@@ -117,6 +117,37 @@ def test_ladder_run_detects_cold_trajectory():
     assert not cert["decay_ok"]
 
 
+def test_ladder_run_builds_each_state_once(monkeypatch):
+    import nsfourier.state as state
+
+    grid = Grid(nx=16, ny=16)
+    X, Y = grid.nodes()
+    base = make_trajectory(0.1)
+    traj = Trajectory(grid=grid, basis=base.basis, laws=base.laws,
+                      eps=1e-3, delta=1e-2)
+    for i in range(4):
+        theta = 0.05 + 0.3 * X * (1.0 + Y) + 0.01 * i
+        traj.append(FluidState(rho=ScalarField(grid, 1.0 + 0.2 * Y),
+                               coeffs=np.array([0.3, -0.1 * i]),
+                               theta=ScalarField(grid, theta), t=0.1 * i))
+    calls = []
+    reconstruct = state.reconstruct_velocity
+
+    def counted(*args):
+        calls.append(1)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(state, "reconstruct_velocity", counted)
+    cert = ladder_run(traj, theta_floor=0.05, k_max=5, omega=0.01, delta=0.1,
+                      laws=traj.laws, M=3.0)
+    assert len(calls) == len(traj.states)
+    ladder = DeGiorgiLadder(M=3.0, omega=0.01, k_max=5)
+    per_rung = [level_energy(traj, k, ladder, 0.1, traj.laws)
+                for k in range(6)]
+    assert sum(u > 0.0 for u in per_rung) >= 3
+    assert cert["U_sequence"] == per_rung
+
+
 def test_certificate_text_fields():
     traj = make_trajectory(1.5)
     cert = ladder_run(traj, theta_floor=1.0, k_max=3, delta=0.1,

@@ -197,23 +197,29 @@ def test_input_validation(grid):
                          canonical_laws())
 
 
-def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
-    # kappa(20) ~ 400 puts the round-off floor of the residual at several
-    # 1e-12 of its scale, above the 1e-2 newton_tol stopping level
-    import nsfourier.thermal as thermal
-
+def hot_step_inputs():
+    """A 24 x 24 step near theta = 20, where kappa(theta) ~ 400."""
     grid = Grid(nx=24, ny=24)
     X, Y = grid.nodes()
     bump = np.cos(np.pi * X) * np.cos(np.pi * Y)
     theta = ScalarField(grid, 20.0 + bump)
     rho = ScalarField(grid, 1.0 + 0.05 * bump)
+    return grid, theta, rho
+
+
+def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
+    # kappa(20) ~ 400 puts the round-off floor of the residual at several
+    # 1e-12 of its scale, above the 1e-2 newton_tol stopping level
+    import nsfourier.thermal as thermal
+
+    grid, theta, rho = hot_step_inputs()
     laws = canonical_laws()
     solves = []
     solve_spd = thermal._solve_spd
 
-    def counted(J, rhs):
+    def counted(J, rhs, *args):
         solves.append(1)
-        return solve_spd(J, rhs)
+        return solve_spd(J, rhs, *args)
 
     monkeypatch.setattr(thermal, "_solve_spd", counted)
 
@@ -229,3 +235,48 @@ def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
     assert len(solves) <= 5
     tight = step(1e-12)
     assert np.max(np.abs(out.values - tight.values)) <= 1e-12 * tight.max()
+
+
+def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    import nsfourier.thermal as thermal
+
+    grid, theta, rho = hot_step_inputs()
+    factorizations = []
+    splu = spla.splu
+
+    def counted_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    cg_iters = []
+    cg = spla.cg
+
+    def counted_cg(*args, **kwargs):
+        cg_iters.append(0)
+
+        def count(xk):
+            cg_iters[-1] += 1
+
+        return cg(*args, callback=count, **kwargs)
+
+    errors = []
+    solve_spd = thermal._solve_spd
+
+    def checked(J, rhs, *args):
+        upd = solve_spd(J, rhs, *args)
+        ref = spla.spsolve(J.tocsc(), rhs)
+        errors.append(np.max(np.abs(upd - ref)) / np.max(np.abs(ref)))
+        return upd
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "cg", counted_cg)
+    monkeypatch.setattr(thermal, "_solve_spd", checked)
+    step_temperature(theta, rho, rho, VectorField.zero(grid),
+                     ScalarField.constant(grid, 0.0),
+                     ThermalStepParams(dt=0.02, delta=0.01), canonical_laws())
+    assert len(cg_iters) >= 2
+    assert len(factorizations) == 1
+    assert max(errors) <= 1e-12
+    assert max(cg_iters) <= 5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsfourier.errors import StepError
 from nsfourier.grid import Grid, ScalarField, VectorField
 from nsfourier.transport import (advect_density, advect_values,
                                  interpolate_bilinear, level_set_measure)
@@ -67,7 +68,7 @@ def test_cfl_cap_enforced():
     grid = Grid(nx=16, ny=16)
     rho = blob(grid)
     fast = uniform_flow(grid, 100.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StepError):
         advect_density(rho, fast, 1.0)
 
 
