@@ -33,21 +33,19 @@ __all__ = [
     "reconstruct_velocity",
     "assemble_weighted_gram",
     "assemble_viscous",
-    "assemble_advection",
     "assemble_advection_matrix",
     "project_initial",
 ]
 
 
 def _clamped_profile(p: int, s: np.ndarray, L: float):
-    """X_p and its first three derivatives on nodes s."""
+    """X_p and its first two derivatives on nodes s."""
     k1 = (p - 1) * np.pi / L
     k2 = (p + 1) * np.pi / L
     f = np.cos(k1 * s) - np.cos(k2 * s)
     d1 = -k1 * np.sin(k1 * s) + k2 * np.sin(k2 * s)
     d2 = -k1 ** 2 * np.cos(k1 * s) + k2 ** 2 * np.cos(k2 * s)
-    d3 = k1 ** 3 * np.sin(k1 * s) - k2 ** 3 * np.sin(k2 * s)
-    return f, d1, d2, d3
+    return f, d1, d2
 
 
 def mode_wavenumbers(n_modes: int) -> list[tuple[int, int]]:
@@ -74,11 +72,6 @@ class StreamBasis:
         G.flags.writeable = False
         return G
 
-    def velocity_mode(self, j: int) -> VectorField:
-        d = self.deta[j]
-        return VectorField(self.grid, self.eta[j, 0], self.eta[j, 1],
-                           d[0, 0], d[0, 1], d[1, 0], d[1, 1])
-
 
 def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     if n_modes < 1:
@@ -94,8 +87,8 @@ def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     eta = np.empty((n_modes, 2) + shape)
     deta = np.empty((n_modes, 2, 2) + shape)
     for j, (p, q) in enumerate(pairs):
-        X, dX, d2X, _ = _clamped_profile(p, grid.x, grid.Lx)
-        Y, dY, d2Y, _ = _clamped_profile(q, grid.y, grid.Ly)
+        X, dX, d2X = _clamped_profile(p, grid.x, grid.Lx)
+        Y, dY, d2Y = _clamped_profile(q, grid.y, grid.Ly)
         # eta = (psi_y, -psi_x) with psi = X(x) Y(y)
         eta[j, 0] = np.outer(X, dY)
         eta[j, 1] = -np.outer(dX, Y)
@@ -112,19 +105,17 @@ def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     return StreamBasis(grid, n_modes, pairs, eta, deta)
 
 
-def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray,
-                         grid: Grid | None = None) -> VectorField:
+def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray) -> VectorField:
     """u = sum_j c_j eta_j with analytic gradients; linear in coeffs."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (basis.n_modes,):
         raise ValueError(f"expected {basis.n_modes} coefficients, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    g = grid or basis.grid
     shape = basis.eta.shape[-2:]
     vel = (c @ basis.eta.reshape(basis.n_modes, -1)).reshape((2,) + shape)
     dvel = (c @ basis.deta.reshape(basis.n_modes, -1)).reshape((4,) + shape)
-    return VectorField(g, vel[0], vel[1], dvel[0], dvel[1], dvel[2], dvel[3])
+    return VectorField(basis.grid, vel[0], vel[1], dvel[0], dvel[1], dvel[2], dvel[3])
 
 
 def _flat(basis: StreamBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -170,15 +161,6 @@ def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> n
     if eps > 0:
         A += eps * basis.grad_gram
     return A
-
-
-def assemble_advection(basis: StreamBasis, rho: ScalarField,
-                       u_field: VectorField) -> np.ndarray:
-    """b_i = int (rho u (x) u) : grad eta_i dx."""
-    w = basis.grid.quad_weights() * rho.values
-    u, v = u_field.u, u_field.v
-    uu = np.stack([u * u, u * v, v * u, v * v]) * w
-    return basis.deta.reshape(basis.n_modes, -1) @ uu.ravel()
 
 
 def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,

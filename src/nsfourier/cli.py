@@ -14,8 +14,8 @@ import sys
 from .coefficients import RenormFunction, check_h_admissible
 from .config import parse_config
 from .coupler import continuation_sweep, run_simulation
-from .degiorgi import (Lemma62Params, certificate_text, ladder_run,
-                       lemma62_iterate, lemma62_threshold)
+from .degiorgi import (Lemma62Params, build_ladder, certificate_text,
+                       ladder_run, lemma62_iterate, lemma62_threshold)
 from .diagnostics import write_diagnostics_csv
 from .errors import ConfigError, SolverError
 from .grid import write_snapshot
@@ -42,8 +42,6 @@ def _output_dir(args) -> str:
 def _load_config(path: str):
     try:
         return parse_config(path)
-    except ConfigError:
-        raise
     except OSError as exc:
         raise ConfigError([str(exc)]) from exc
 
@@ -134,6 +132,10 @@ def cmd_degiorgi(args) -> int:
     except ConfigError as exc:
         return _fail("parse", "; ".join(exc.problems), EXIT_PARSE)
     try:
+        build_ladder(config.theta_floor, args.kmax, args.omega, args.M)
+    except ValueError as exc:
+        return _fail("parse", str(exc), EXIT_PARSE)
+    try:
         traj = run_simulation(config)
     except SolverError as exc:
         return _fail("run", str(exc), EXIT_RUN)
@@ -151,10 +153,8 @@ def cmd_check_h(args) -> int:
     try:
         if args.form == "power":
             h = RenormFunction.power(args.l)
-        elif args.form == "truncated-log":
-            h = RenormFunction.truncated_log(args.omega, args.cutoff)
         else:
-            return _fail("parse", f"unknown form {args.form!r}", EXIT_PARSE)
+            h = RenormFunction.truncated_log(args.omega, args.cutoff)
         report = check_h_admissible(h, args.zmax, args.samples)
     except (ValueError, SolverError) as exc:
         return _fail("parse", str(exc), EXIT_PARSE)
@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nsfourier",
         description="Incompressible flow solver with temperature-dependent "
                     "transport coefficients and verification diagnostics.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized test-field generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a simulation")
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, default=None)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_degiorgi)
 
     p = sub.add_parser("check-h", help="admissibility report for a weight function")

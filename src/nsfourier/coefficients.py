@@ -146,10 +146,6 @@ class ViscosityLaw:
     def lipschitz_constant(self) -> float:
         return self.slope
 
-    def floor_above(self, theta_bar: float | None = None) -> float:
-        """min mu over [theta_bar, infinity); positive."""
-        return self.slope * self.theta_bar
-
 
 def eval_viscosity(law: ViscosityLaw, theta):
     """mu(theta); vanishes at theta = 0, plateau for theta >= theta_bar."""
@@ -204,14 +200,6 @@ class RenormFunction:
     @classmethod
     def from_callables(cls, h, dh=None, d2h=None, name="custom") -> "RenormFunction":
         return cls(form=name, h=h, dh=dh, d2h=d2h)
-
-    @classmethod
-    def from_samples(cls, z_samples, h_samples) -> "RenormFunction":
-        zs = np.asarray(z_samples, dtype=float)
-        hs = np.asarray(h_samples, dtype=float)
-        if zs.size != hs.size or zs.size < 2:
-            raise ValueError("need matching sample arrays of length >= 2")
-        return cls(form="sampled", h=lambda z: np.interp(z, zs, hs))
 
 
 def eval_H(h: RenormFunction, theta):

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import StreamBasis, build_basis, reconstruct_velocity
-from .coefficients import eval_viscosity
 from .config import RunConfig
-from .diagnostics import DiagnosticsRecord, energy_report, step_sinks
+from .diagnostics import (ENERGY_SLACK_FACTOR, DiagnosticsRecord, energy_report,
+                          energy_slack, step_sinks)
 from .errors import RunError, SolverError, StepError
 from .grid import Grid, ScalarField, integrate_values
 from .momentum import momentum_system, step_momentum
@@ -60,10 +60,8 @@ def fixed_point_step(state: FluidState, config: RunConfig,
     sweep is appended to it for contraction monitoring."""
     if dt is None:
         dt = config.dt
-    grid = state.rho.grid
     laws = config.laws()
-    mu_old = ScalarField(grid, np.asarray(
-        eval_viscosity(laws.viscosity, state.theta.values)))
+    mu_old = state.viscosity(laws)
 
     # coeffs_k is state.coeffs on the first sweep, so its velocity is the
     # transport velocity u_old of the advection matrix
@@ -134,10 +132,9 @@ def _record(traj: Trajectory, config: RunConfig,
         cum_diss = prev_record.cum_dissipation + sinks["dissipation"]
         cum_eps = prev_record.cum_eps_dissipation + sinks["eps_dissipation"]
         cum_sink = prev_record.cum_sink + sinks["sink"]
-        prev_total = prev_record.kinetic_energy + prev_record.thermal_energy
-        slack = (rep["kinetic_energy"] + rep["thermal_energy"]
-                 + sinks["eps_dissipation"] + sinks["sink"]
-                 + sinks["delta_dissipation"] - prev_total)
+        slack = energy_slack(
+            rep["kinetic_energy"] + rep["thermal_energy"],
+            prev_record.kinetic_energy + prev_record.thermal_energy, sinks)
     return DiagnosticsRecord(
         time=state.t,
         kinetic_energy=rep["kinetic_energy"],
@@ -180,7 +177,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
             if sub.rho.min() < rho_lo - 1e-12 or sub.rho.max() > rho_hi + 1e-12:
                 raise RunError("density left its initial bounds",
                                partial_trajectory=traj)
-            if traj.records[-1].energy_slack > 1e-10 * e0:
+            if traj.records[-1].energy_slack > ENERGY_SLACK_FACTOR * e0:
                 raise RunError(
                     f"energy inequality violated at t = {sub.t!r} "
                     f"(slack {traj.records[-1].energy_slack!r})",

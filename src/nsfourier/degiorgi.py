@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import eval_conductivity, eval_viscosity
+from .coefficients import eval_conductivity
 from .errors import DegenerateInputError
 from .grid import grad_values, integrate_values
 from .state import Trajectory
@@ -33,8 +33,6 @@ class DeGiorgiLadder:
     alpha: float = 2.0
     beta: float = 0.5
     levels: np.ndarray = field(init=False)
-    start_times: np.ndarray = field(init=False)
-    energies: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.M <= 0:
@@ -49,7 +47,6 @@ class DeGiorgiLadder:
             raise ValueError("beta must lie in (0, 1)")
         k = np.arange(self.k_max + 1)
         self.levels = np.exp(-self.M * (1.0 - 0.5 ** k))
-        self.start_times = np.zeros(self.k_max + 1)
 
     @property
     def gamma(self) -> float:
@@ -114,18 +111,13 @@ def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder,
     out = np.empty((ladder.k_max + 1, len(traj.states), 3))
     for j, s in enumerate(traj.states):
         shifted = s.theta.values + ladder.omega
-        if np.any(shifted == 0.0):
-            raise DegenerateInputError(
-                "truncation is infinite where theta + omega = 0")
-        u = s.velocity(traj.basis)
-        d12 = 0.5 * (u.du_dy + u.dv_dx)
-        dsq = u.du_dx ** 2 + u.dv_dy ** 2 + 2.0 * d12 ** 2
-        mu = np.asarray(eval_viscosity(traj.laws.viscosity, s.theta.values))
+        dsq = s.velocity(traj.basis).strain_sq()
+        mu = s.viscosity(traj.laws).values
         tgx, tgy = grad_values(grid, s.theta.values)
         grad_sq = tgx ** 2 + tgy ** 2
         kap = np.asarray(eval_conductivity(traj.laws.conductivity, s.theta.values))
         for k, C_k in enumerate(ladder.levels):
-            phi = np.maximum(np.log(C_k / shifted), 0.0)
+            phi = truncation_phi(s.theta.values, C_k, ladder.omega)
             mask = shifted <= C_k
             out[k, j] = (
                 integrate_values(grid, (delta + s.rho.values) * phi),
@@ -165,10 +157,9 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
     return sup_term + 2.0 * (1.0 - delta) * diss_int + grad_int
 
 
-def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
-               omega: float = 0.0, delta: float = 0.0, laws=None,
-               M: float | None = None) -> dict:
-    """Measure the full ladder and certify the temperature lower bound.
+def build_ladder(theta_floor: float, k_max: int = 8, omega: float = 0.0,
+                 M: float | None = None) -> DeGiorgiLadder:
+    """The ladder `ladder_run` measures; raises ValueError on bad input.
 
     The default M = 2 ln(1/theta_floor) + ln 4 puts exp(-M/2) =
     theta_floor/2 strictly below the initial floor; pass M to override.
@@ -177,16 +168,23 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
         raise ValueError("theta_floor must be positive")
     if M is None:
         M = 2.0 * float(np.log(1.0 / theta_floor)) + float(np.log(4.0))
-    ladder = DeGiorgiLadder(M=M, omega=omega, k_max=k_max)
+    return DeGiorgiLadder(M=M, omega=omega, k_max=k_max)
+
+
+def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
+               omega: float = 0.0, delta: float = 0.0, laws=None,
+               M: float | None = None) -> dict:
+    """Measure the full ladder of `build_ladder(theta_floor, k_max, omega,
+    M)` and certify the temperature lower bound."""
+    ladder = build_ladder(theta_floor, k_max, omega, M)
     integrals = rung_integrals(traj, ladder, delta)
     U = [level_energy(traj, k, ladder, delta, laws, integrals=integrals)
          for k in range(k_max + 1)]
-    ladder.energies = U
     nonincreasing = all(U[k + 1] <= U[k] * (1.0 + 1e-12) + 1e-300
                         for k in range(k_max))
     decay_ok = bool(nonincreasing
                     and U[-1] <= LADDER_DECAY_TOL * max(U[0], 1e-30))
-    lower_bound = float(np.exp(-M) - omega)
+    lower_bound = float(np.exp(-ladder.M) - omega)
     observed = traj.min_theta()
     if decay_ok and observed < lower_bound:
         raise AssertionError(
@@ -194,7 +192,7 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
             f"reaches {observed}")
     fit_C = _fit_recursion_constant(U, ladder)
     return {
-        "M": M,
+        "M": ladder.M,
         "omega": omega,
         "k_max": k_max,
         "U_sequence": U,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (RenormFunction, check_h_admissible,
-                           eval_conductivity, eval_H, eval_K_h, eval_viscosity)
-from .grid import ScalarField, grad_values, integrate_values
+                           eval_conductivity, eval_H, eval_K_h)
+from .grid import grad_values, h1_sq_values, integrate_values, norm_H1
 from .state import Trajectory
 from .thermal import dissipation_field
 
@@ -72,9 +72,7 @@ def energy_report(state, delta: float, basis, laws) -> dict:
     """Pointwise energies and norms of one state."""
     grid = state.rho.grid
     u = state.velocity(basis)
-    speed2 = u.u ** 2 + u.v ** 2
-    grad2 = u.du_dx ** 2 + u.du_dy ** 2 + u.dv_dx ** 2 + u.dv_dy ** 2
-    tgx, tgy = grad_values(grid, state.theta.values)
+    speed2 = u.speed_sq()
     return {
         "kinetic_energy": 0.5 * integrate_values(grid, state.rho.values * speed2),
         "thermal_energy": integrate_values(grid, (delta + state.rho.values) * state.theta.values),
@@ -82,9 +80,8 @@ def energy_report(state, delta: float, basis, laws) -> dict:
         "rho_max": state.rho.max(),
         "theta_min": state.theta.min(),
         "theta_max": state.theta.max(),
-        "u_H1": float(np.sqrt(max(integrate_values(grid, speed2 + grad2), 0.0))),
-        "theta_H1": float(np.sqrt(max(
-            integrate_values(grid, state.theta.values ** 2 + tgx ** 2 + tgy ** 2), 0.0))),
+        "u_H1": float(np.sqrt(max(integrate_values(grid, speed2 + u.grad_sq()), 0.0))),
+        "theta_H1": norm_H1(state.theta),
         "theta_L3": integrate_values(grid, state.theta.values ** 3) ** (1.0 / 3.0),
     }
 
@@ -96,16 +93,30 @@ def step_sinks(traj: Trajectory, m: int) -> dict:
     old, new = traj.states[m], traj.states[m + 1]
     dt = new.t - old.t
     u1 = new.velocity(traj.basis)
-    mu_old = ScalarField(grid, np.asarray(eval_viscosity(traj.laws.viscosity,
-                                                         old.theta.values)))
-    diss = integrate_values(grid, dissipation_field(mu_old, u1).values)
-    grad2 = u1.du_dx ** 2 + u1.du_dy ** 2 + u1.dv_dx ** 2 + u1.dv_dy ** 2
+    diss = integrate_values(grid, dissipation_field(old.viscosity(traj.laws), u1).values)
     return {
         "dissipation": dt * diss,
-        "eps_dissipation": dt * traj.eps * integrate_values(grid, grad2),
+        "eps_dissipation": dt * traj.eps * integrate_values(grid, u1.grad_sq()),
         "sink": dt * traj.delta * integrate_values(grid, new.theta.values ** 3),
         "delta_dissipation": dt * traj.delta * diss,
     }
+
+
+def energy_slack(total_new: float, total_old: float, sinks: dict) -> float:
+    """E_new + dt [eps |grad u|^2 + delta theta^3 + delta S:grad u] - E_old
+    for the `step_sinks` of the step; the scheme keeps it <= 0 up to
+    round-off."""
+    return (total_new + sinks["eps_dissipation"] + sinks["sink"]
+            + sinks["delta_dissipation"] - total_old)
+
+
+def _require_trajectory_params(traj: Trajectory, **given) -> None:
+    """The verifiers read the trajectory's own delta, eps and laws; an
+    argument that disagrees with them would mix two problems."""
+    for name, value in given.items():
+        if value != getattr(traj, name):
+            raise ValueError(f"{name} = {value!r} differs from the "
+                             f"trajectory's {getattr(traj, name)!r}")
 
 
 def check_energy_inequality(traj: Trajectory, delta: float, eps: float) -> dict:
@@ -113,17 +124,18 @@ def check_energy_inequality(traj: Trajectory, delta: float, eps: float) -> dict:
 
         E(t_{m+1}) + dt [ eps |grad u|^2 + delta theta^3 + delta S:grad u ]
             <= E(t_m) + threshold.
+
+    delta and eps must be the trajectory's own.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
+    _require_trajectory_params(traj, delta=delta, eps=eps)
     energies = [energy_report(s, delta, traj.basis, traj.laws) for s in traj.states]
     totals = [e["kinetic_energy"] + e["thermal_energy"] for e in energies]
     worst = -np.inf
     worst_step = -1
     for m in range(len(traj.states) - 1):
-        sinks = step_sinks(traj, m)
-        violation = (totals[m + 1] + sinks["eps_dissipation"] + sinks["sink"]
-                     + sinks["delta_dissipation"] - totals[m])
+        violation = energy_slack(totals[m + 1], totals[m], step_sinks(traj, m))
         if violation > worst:
             worst = violation
             worst_step = m
@@ -177,7 +189,9 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
     Time quadrature is aligned with the backward-Euler stepping (flux,
     source and sink terms at the right endpoint), so the residual
     measures genuine inequality defect rather than quadrature mismatch.
+    delta and laws must be the trajectory's own.
     """
+    _require_trajectory_params(traj, delta=delta, laws=laws)
     if h.dh is None:
         raise ValueError("renorm function needs derivative data")
     theta_max = max(s.theta.max() for s in traj.states)
@@ -212,9 +226,7 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         t4 -= dt * psi1 * integrate_values(
             grid, delta * new.theta.values ** 3 * hv_new * phi.chi)
 
-        mu_old = ScalarField(grid, np.asarray(eval_viscosity(traj.laws.viscosity,
-                                                             old.theta.values)))
-        diss = dissipation_field(mu_old, u1).values
+        diss = dissipation_field(old.viscosity(laws), u1).values
         r1 += dt * psi1 * integrate_values(
             grid, (delta - 1.0) * diss * hv_new * phi.chi)
 
@@ -239,11 +251,6 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
             "passes": bool(residual <= tol), "terms": terms}
 
 
-def renorm_residual(traj: Trajectory, h: RenormFunction, phi, delta: float,
-                    laws) -> float:
-    return renorm_report(traj, h, phi, delta, laws)["residual"]
-
-
 def apriori_monitor(traj: Trajectory, l_values=(1.0, 0.5), omega: float = 0.1) -> dict:
     """Maxima over the run of the a priori bound quantities."""
     if not traj.states:
@@ -256,23 +263,18 @@ def apriori_monitor(traj: Trajectory, l_values=(1.0, 0.5), omega: float = 0.1) -
     rho_theta_l1 = 0.0
     for s in traj.states:
         u = s.velocity(traj.basis)
-        speed2 = u.u ** 2 + u.v ** 2
-        grad2 = u.du_dx ** 2 + u.du_dy ** 2 + u.dv_dx ** 2 + u.dv_dy ** 2
-        tgx, tgy = grad_values(grid, s.theta.values)
+        speed2 = u.speed_sq()
         rho_linf = max(rho_linf, s.rho.max())
         sqrt_rho_u = max(sqrt_rho_u,
                          np.sqrt(max(integrate_values(grid, s.rho.values * speed2), 0.0)))
         rho_theta_l1 = max(rho_theta_l1,
                            integrate_values(grid, s.rho.values * s.theta.values))
-        u_h1_sq.append(integrate_values(grid, speed2 + grad2))
-        th_h1_sq.append(integrate_values(grid, s.theta.values ** 2 + tgx ** 2 + tgy ** 2))
+        u_h1_sq.append(integrate_values(grid, speed2 + u.grad_sq()))
+        th_h1_sq.append(h1_sq_values(grid, s.theta.values))
         th_l3.append(integrate_values(grid, s.theta.values ** 3))
         row = []
         for l in l_values:
-            p = 0.5 * (3.0 - l)
-            tp = s.theta.values ** p
-            pgx, pgy = grad_values(grid, tp)
-            row.append(integrate_values(grid, tp ** 2 + pgx ** 2 + pgy ** 2))
+            row.append(h1_sq_values(grid, s.theta.values ** (0.5 * (3.0 - l))))
         pow_sq.append(row)
         sink_dense.append(integrate_values(
             grid, s.theta.values ** 3 * (s.rho.values >= omega)))

@@ -52,10 +52,6 @@ class Grid:
         return np.meshgrid(self.x, self.y, indexing="ij")
 
     @property
-    def cell_area(self) -> float:
-        return self.hx * self.hy
-
-    @property
     def area(self) -> float:
         return self.Lx * self.Ly
 
@@ -128,14 +124,23 @@ class VectorField:
         z = np.zeros(grid.shape)
         return cls(grid, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
 
-    def has_gradients(self) -> bool:
-        return self.du_dx is not None
-
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
 
     def max_speed(self) -> float:
         return float(self.magnitude().max())
+
+    def speed_sq(self) -> np.ndarray:
+        return self.u ** 2 + self.v ** 2
+
+    def grad_sq(self) -> np.ndarray:
+        """|grad u|^2 from the analytic gradient components."""
+        return self.du_dx ** 2 + self.du_dy ** 2 + self.dv_dx ** 2 + self.dv_dy ** 2
+
+    def strain_sq(self) -> np.ndarray:
+        """|D(u)|^2 with D(u) = sym(grad u), from the analytic gradients."""
+        d12 = 0.5 * (self.du_dy + self.dv_dx)
+        return self.du_dx ** 2 + self.dv_dy ** 2 + 2.0 * d12 ** 2
 
 
 def integrate(f: ScalarField) -> float:
@@ -157,43 +162,22 @@ def _d_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def grad(f: ScalarField) -> VectorField:
-    g = f.grid
-    return VectorField(g, _d_axis(f.values, g.hx, 0), _d_axis(f.values, g.hy, 1))
-
-
 def grad_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _d_axis(values, grid.hx, 0), _d_axis(values, grid.hy, 1)
-
-
-def div(v: VectorField) -> ScalarField:
-    g = v.grid
-    return ScalarField(g, _d_axis(v.u, g.hx, 0) + _d_axis(v.v, g.hy, 1))
-
-
-def _lap_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second difference with reflection ghosts (zero normal flux)."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    out[0] = 2.0 * (f[1] - f[0]) / (h * h)
-    out[-1] = 2.0 * (f[-2] - f[-1]) / (h * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def laplacian_neumann(f: ScalarField) -> ScalarField:
-    g = f.grid
-    return ScalarField(g, _lap_axis(f.values, g.hx, 0) + _lap_axis(f.values, g.hy, 1))
 
 
 def norm_L2(f: ScalarField) -> float:
     return float(np.sqrt(max(integrate_values(f.grid, f.values ** 2), 0.0)))
 
 
+def h1_sq_values(grid: Grid, values: np.ndarray) -> float:
+    """int values^2 + |grad values|^2, the squared H1 norm."""
+    gx, gy = grad_values(grid, values)
+    return integrate_values(grid, values ** 2 + gx ** 2 + gy ** 2)
+
+
 def norm_H1(f: ScalarField) -> float:
-    gx, gy = grad_values(f.grid, f.values)
-    sq = integrate_values(f.grid, f.values ** 2 + gx ** 2 + gy ** 2)
-    return float(np.sqrt(max(sq, 0.0)))
+    return float(np.sqrt(max(h1_sq_values(f.grid, f.values), 0.0)))
 
 
 def poincare_check(v: ScalarField, rho: ScalarField, M1: float, M2: float,

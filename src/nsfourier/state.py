@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import StreamBasis, reconstruct_velocity
+from .coefficients import eval_viscosity
 from .config import Laws
 from .grid import Grid, ScalarField, VectorField
 
@@ -21,6 +22,11 @@ class FluidState:
     def velocity(self, basis: StreamBasis) -> VectorField:
         return reconstruct_velocity(basis, self.coeffs)
 
+    def viscosity(self, laws: Laws) -> ScalarField:
+        """mu(theta) at the nodes."""
+        return ScalarField(self.theta.grid, np.asarray(
+            eval_viscosity(laws.viscosity, self.theta.values)))
+
 
 @dataclass
 class Trajectory:
@@ -32,12 +38,10 @@ class Trajectory:
     states: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
-    def append(self, state: FluidState, record=None) -> None:
+    def append(self, state: FluidState) -> None:
         if self.states and state.t <= self.states[-1].t:
             raise ValueError("time stamps must be strictly increasing")
         self.states.append(state)
-        if record is not None:
-            self.records.append(record)
 
     @property
     def times(self) -> np.ndarray:
@@ -50,9 +54,6 @@ class Trajectory:
     @property
     def final(self) -> FluidState:
         return self.states[-1]
-
-    def velocity(self, i: int) -> VectorField:
-        return self.states[i].velocity(self.basis)
 
     def min_theta(self) -> float:
         return min(s.theta.min() for s in self.states)

@@ -5,11 +5,11 @@
 
 with homogeneous Neumann walls.  Advection moves the conserved quantity
 (delta+rho) theta semi-Lagrangially, diffusion is a finite-volume Neumann
-operator (lagged conductivity by default, Newton on the Kirchhoff
-variable optionally), the cubic sink is implicit, the dissipation source
-explicit.  A scale-down limiter keeps the advected thermal content from
-exceeding its pre-step integral, so the discrete total energy budget can
-never gain from interpolation error.
+operator with the conductivity lagged at the old temperature, the cubic
+sink is implicit and solved by Newton, the dissipation source explicit.
+A scale-down limiter keeps the advected thermal content from exceeding
+its pre-step integral, so the discrete total energy budget can never
+gain from interpolation error.
 
 With the lagged conductivity the diffusion operator S is fixed for the
 whole step, so successive Newton Jacobians diag(W (a/dt + 3 delta t^2)) - S
@@ -27,21 +27,20 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import ConductivityLaw, eval_conductivity, kirchhoff_K
+from .coefficients import eval_conductivity
 from .errors import SchemeError, StepError
-from .grid import Grid, ScalarField, VectorField, grad_values
+from .grid import Grid, ScalarField, VectorField
 from .transport import advect_values
 
 NEGATIVITY_GUARD = -1e-12
+NEWTON_MAX = 50
 
 
 @dataclass
 class ThermalStepParams:
     dt: float
     delta: float
-    linearization: str = "lagged-coefficient"
     newton_tol: float = 1e-10
-    newton_max: int = 50
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -50,23 +49,15 @@ class ThermalStepParams:
         # equation in limit studies
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if self.linearization not in ("lagged-coefficient", "kirchhoff-newton"):
-            raise ValueError(f"unknown linearization {self.linearization!r}")
 
 
 def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
-    """S : grad u = 2 mu |D(u)|^2 with D(u) = sym(grad u); non-negative."""
+    """S : grad u = 2 mu |D(u)|^2 with D(u) = sym(grad u); non-negative.
+
+    u must carry its analytic gradients (every basis velocity does)."""
     if np.any(mu_field.values < 0):
         raise ValueError("viscosity field must be non-negative")
-    if u.has_gradients():
-        dux, duy = u.du_dx, u.du_dy
-        dvx, dvy = u.dv_dx, u.dv_dy
-    else:
-        dux, duy = grad_values(u.grid, u.u)
-        dvx, dvy = grad_values(u.grid, u.v)
-    d12 = 0.5 * (duy + dvx)
-    dsq = dux ** 2 + dvy ** 2 + 2.0 * d12 ** 2
-    return ScalarField(u.grid, 2.0 * mu_field.values * dsq)
+    return ScalarField(u.grid, 2.0 * mu_field.values * u.strain_sq())
 
 
 def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
@@ -133,7 +124,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
                      laws) -> ScalarField:
     """One backward-Euler step; returns the new non-negative temperature.
 
-    `laws` must expose `conductivity: ConductivityLaw`.
+    `laws` must expose `conductivity`, a `ConductivityLaw`.
     """
     grid = theta.grid
     if theta.min() < 0:
@@ -142,7 +133,6 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         raise ValueError("density fields must be non-negative")
     if diss.min() < 0:
         raise ValueError("dissipation source must be non-negative")
-    law: ConductivityLaw = laws.conductivity
     dt = params.dt
     delta = params.delta
 
@@ -165,19 +155,12 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     src = ((1.0 - delta) * diss.values).ravel()
     t_adv = theta_adv.ravel()
 
-    lagged = params.linearization == "lagged-coefficient"
-    if lagged:
-        kappa_old = np.asarray(eval_conductivity(law, theta.values))
-        S = neumann_divgrad(grid, kappa_old)
-    else:
-        S1 = neumann_divgrad(grid, np.ones(grid.shape))
+    kappa_old = np.asarray(eval_conductivity(laws.conductivity, theta.values))
+    S = neumann_divgrad(grid, kappa_old)
 
     def residual(t):
         out = wflat * (aflat * (t - t_adv) / dt + delta * t ** 3 - src)
-        if lagged:
-            out -= S @ t
-        else:
-            out -= S1 @ np.asarray(kirchhoff_K(law, t.reshape(grid.shape))).ravel()
+        out -= S @ t
         return out
 
     t = t_adv.copy()
@@ -190,7 +173,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     converged = False
     f_prev = np.inf
     precond = None
-    for _ in range(params.newton_max):
+    for _ in range(NEWTON_MAX):
         F = residual(t)
         f_max = float(np.max(np.abs(F)))
         if f_max <= 1e-2 * tol or (f_max <= tol and f_max > 0.5 * f_prev):
@@ -198,15 +181,10 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
             break
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
-        if lagged:
-            J = (sp.diags(diag) - S).tocsr()
-            if precond is None:
-                precond = _factor_preconditioner(J)
-            upd = _solve_spd(J, -F, precond)
-        else:
-            kap = np.asarray(eval_conductivity(law, t.reshape(grid.shape))).ravel()
-            J = sp.diags(diag) - S1 @ sp.diags(kap)
-            upd = spla.spsolve(J.tocsc(), -F)
+        J = (sp.diags(diag) - S).tocsr()
+        if precond is None:
+            precond = _factor_preconditioner(J)
+        upd = _solve_spd(J, -F, precond)
         t = t + upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
             converged = True

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import StepError
 from .grid import Grid, ScalarField, VectorField
 
-DEFAULT_CFL_CAP = 5.0
+CFL_CAP = 5.0
 
 
 def _clamp(fx: np.ndarray, fy: np.ndarray, grid: Grid):
@@ -57,20 +57,19 @@ def advect_values(grid: Grid, values: np.ndarray, u: VectorField,
     return interpolate_bilinear(grid, values, fx, fy)
 
 
-def advect_density(rho: ScalarField, u: VectorField, dt: float,
-                   cfl_cap: float = DEFAULT_CFL_CAP) -> ScalarField:
+def advect_density(rho: ScalarField, u: VectorField, dt: float) -> ScalarField:
     """One transport step of the continuity equation along characteristics.
 
     Preserves min/max of rho exactly (discrete maximum principle).  A step
-    whose displacement exceeds `cfl_cap` cells raises StepError, so the
+    whose displacement exceeds CFL_CAP cells raises StepError, so the
     time loop retries it with a smaller dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
     h = min(grid.hx, grid.hy)
-    if dt * u.max_speed() > cfl_cap * h:
+    if dt * u.max_speed() > CFL_CAP * h:
         raise StepError(
-            f"dt*max|u| = {dt * u.max_speed():.3g} exceeds CFL cap {cfl_cap}*h = {cfl_cap * h:.3g}")
+            f"dt*max|u| = {dt * u.max_speed():.3g} exceeds CFL cap {CFL_CAP}*h = {CFL_CAP * h:.3g}")
     return ScalarField(grid, advect_values(grid, rho.values, u, dt))
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nsfourier.basis import (assemble_advection, assemble_advection_matrix,
-                             assemble_viscous, assemble_weighted_gram,
-                             build_basis, mode_wavenumbers, project_initial,
+from nsfourier.basis import (assemble_advection_matrix, assemble_viscous,
+                             assemble_weighted_gram, build_basis,
+                             mode_wavenumbers, project_initial,
                              reconstruct_velocity)
 from nsfourier.errors import ResolutionError
 from nsfourier.grid import Grid, ScalarField, integrate_values
@@ -123,24 +123,6 @@ def test_assembled_matrices_symmetric(basis):
     for mat in (assemble_weighted_gram(basis, rho),
                 assemble_viscous(basis, mu, 0.1)):
         assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
-
-
-def test_advection_vector_trivial(basis):
-    grid = basis.grid
-    rho = ScalarField.constant(grid, 1.0)
-    zero_u = reconstruct_velocity(basis, np.zeros(basis.n_modes))
-    assert np.all(assemble_advection(basis, rho, zero_u) == 0.0)
-    u = reconstruct_velocity(basis, np.ones(basis.n_modes))
-    assert np.all(assemble_advection(basis, ScalarField.constant(grid, 0.0), u) == 0.0)
-
-
-def test_advection_vector_quadratic_homogeneity(basis):
-    rng = np.random.default_rng(5)
-    rho = ScalarField(basis.grid, 1.0 + rng.random(basis.grid.shape))
-    c = rng.standard_normal(basis.n_modes)
-    b1 = assemble_advection(basis, rho, reconstruct_velocity(basis, c))
-    b2 = assemble_advection(basis, rho, reconstruct_velocity(basis, 2.0 * c))
-    assert np.allclose(b2, 4.0 * b1, rtol=1e-12)
 
 
 def test_advection_matrix_exactly_skew(basis):

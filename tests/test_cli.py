@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from nsfourier import cli
 from nsfourier.cli import main
 from nsfourier.config import RunConfig, parse_config, serialize_config
 from nsfourier.errors import ConfigError
@@ -88,12 +89,28 @@ def test_output_dir_env_override(config_path, tmp_path, monkeypatch, capsys):
     assert (target / "diagnostics.csv").exists()
 
 
-def test_degiorgi_command(config_path, tmp_path, capsys):
-    code = main(["degiorgi", config_path, "--output-dir", str(tmp_path)])
+def test_degiorgi_command(config_path, capsys):
+    code = main(["degiorgi", config_path])
     assert code == 0
     out = capsys.readouterr().out
     assert "[degiorgi-certificate]" in out
     assert "decay_ok = true" in out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kmax", "0", "k_max must be at least 1"),
+    ("--M", "-1", "M must be positive"),
+    ("--omega", "-1", "omega must be non-negative"),
+], ids=["kmax", "M", "omega"])
+def test_degiorgi_rejects_bad_ladder_before_running(config_path, capsys,
+                                                    monkeypatch, flag, value,
+                                                    message):
+    def no_run(config):
+        raise AssertionError("the ladder arguments are checked before the run")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    assert main(["degiorgi", config_path, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: parse: {message}\n"
 
 
 def test_sweep_command(config_path, tmp_path, capsys):
@@ -148,8 +165,3 @@ def test_lemma62_bad_params(capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: parse:")
 
-
-def test_seed_flag_accepted(config_path, tmp_path, capsys):
-    assert main(["--seed", "7", "run", config_path,
-                 "--output-dir", str(tmp_path)]) == 0
-    capsys.readouterr()

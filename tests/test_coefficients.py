@@ -212,6 +212,6 @@ def test_admissibility_truncated_log():
 
 
 def test_admissibility_needs_derivatives():
-    h = RenormFunction.from_samples([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
+    h = RenormFunction.from_callables(lambda z: 1.0 / (1.0 + np.asarray(z)))
     with pytest.raises(CapabilityError):
         check_h_admissible(h, 2.0, 10)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from nsfourier.basis import build_basis
-from nsfourier.coefficients import RenormFunction
-from nsfourier.config import RunConfig
+from nsfourier.coefficients import RenormFunction, ViscosityLaw
+from nsfourier.config import Laws, RunConfig
 from nsfourier.coupler import run_simulation
 from nsfourier.diagnostics import (CSV_COLUMNS, SeparableTestFunction,
                                    apriori_monitor, check_energy_inequality,
                                    diagnostics_csv_text, energy_report,
-                                   renorm_report, renorm_residual)
+                                   renorm_report)
 from nsfourier.grid import Grid, ScalarField
 from nsfourier.state import FluidState, Trajectory
 
@@ -84,6 +84,22 @@ def test_run_energy_check(small_run):
     assert report["passes"]
 
 
+def test_verifiers_reject_parameters_other_than_the_trajectorys(small_run):
+    config, traj = small_run
+    with pytest.raises(ValueError, match="eps"):
+        check_energy_inequality(traj, config.delta, 100.0)
+    with pytest.raises(ValueError, match="delta"):
+        check_energy_inequality(traj, 0.5, config.eps)
+    phi = SeparableTestFunction(traj.grid, traj.final.t)
+    h = RenormFunction.power(1.0)
+    with pytest.raises(ValueError, match="delta"):
+        renorm_report(traj, h, phi, 0.5, traj.laws)
+    other = Laws(viscosity=ViscosityLaw(slope=2.0, theta_bar=1.0),
+                 conductivity=traj.laws.conductivity)
+    with pytest.raises(ValueError, match="laws"):
+        renorm_report(traj, h, phi, config.delta, other)
+
+
 def test_test_function_preconditions():
     grid = Grid(nx=16, ny=16)
     with pytest.raises(ValueError):
@@ -97,16 +113,16 @@ def test_renorm_rejects_phi_not_vanishing_at_T(small_run):
     config, traj = small_run
     phi = SeparableTestFunction(traj.grid, 2.0 * traj.final.t)
     with pytest.raises(ValueError):
-        renorm_residual(traj, RenormFunction.power(1.0), phi, config.delta,
-                        traj.laws)
+        renorm_report(traj, RenormFunction.power(1.0), phi, config.delta,
+                      traj.laws)["residual"]
 
 
 def test_renorm_rejects_inadmissible_h(small_run):
     config, traj = small_run
     phi = SeparableTestFunction(traj.grid, traj.final.t)
     with pytest.raises(ValueError):
-        renorm_residual(traj, RenormFunction.power(1.5), phi, config.delta,
-                        traj.laws)
+        renorm_report(traj, RenormFunction.power(1.5), phi, config.delta,
+                      traj.laws)["residual"]
 
 
 def test_renorm_flat_h_on_equilibrium():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nsfourier.errors import DegenerateInputError
-from nsfourier.grid import (Grid, ScalarField, VectorField, div, grad,
-                            integrate, laplacian_neumann, norm_H1, norm_L2,
-                            poincare_check, read_snapshot, write_snapshot)
+from nsfourier.grid import (Grid, ScalarField, grad_values, integrate,
+                            norm_H1, norm_L2, poincare_check, read_snapshot,
+                            write_snapshot)
 
 
 @pytest.fixture
@@ -44,55 +44,15 @@ def test_integrate_linear_and_monotone(unit_grid):
 
 def test_grad_exact_on_linear(unit_grid):
     f = ScalarField.from_function(unit_grid, lambda x, y: 3.0 * x)
-    g = grad(f)
-    assert np.allclose(g.u, 3.0, atol=1e-12)
-    assert np.allclose(g.v, 0.0, atol=1e-12)
+    gx, gy = grad_values(unit_grid, f.values)
+    assert np.allclose(gx, 3.0, atol=1e-12)
+    assert np.allclose(gy, 0.0, atol=1e-12)
 
 
 def test_grad_of_constant_vanishes(unit_grid):
-    g = grad(ScalarField.constant(unit_grid, 7.0))
-    assert np.all(g.u == 0.0)
-    assert np.all(g.v == 0.0)
-
-
-def test_div_of_constant_vanishes(unit_grid):
-    v = VectorField(unit_grid, np.full(unit_grid.shape, 2.0),
-                    np.full(unit_grid.shape, -3.0))
-    assert np.all(div(v).values == 0.0)
-
-
-def _neumann_mode(grid):
-    return ScalarField.from_function(
-        grid, lambda x, y: np.cos(np.pi * x) * np.cos(2 * np.pi * y))
-
-
-def test_laplacian_refinement_order():
-    errs = []
-    for n in (32, 64):
-        grid = Grid(nx=n, ny=n)
-        f = _neumann_mode(grid)
-        exact = -(np.pi ** 2 + (2 * np.pi) ** 2) * f.values
-        errs.append(np.max(np.abs(laplacian_neumann(f).values - exact)))
-    order = np.log2(errs[0] / errs[1])
-    assert order >= 1.9
-
-
-def test_laplacian_neumann_compatibility(unit_grid):
-    rng = np.random.default_rng(1)
-    f = ScalarField(unit_grid, rng.standard_normal(unit_grid.shape))
-    assert abs(integrate(laplacian_neumann(f))) <= 1e-12 * norm_L2(f) / unit_grid.cell_area
-
-
-def test_div_grad_matches_laplacian_interior():
-    diffs = []
-    for n in (32, 64, 128):
-        grid = Grid(nx=n, ny=n)
-        f = _neumann_mode(grid)
-        lap = laplacian_neumann(f).values
-        dg = div(grad(f)).values
-        diffs.append(np.max(np.abs(lap[2:-2, 2:-2] - dg[2:-2, 2:-2])))
-    assert np.log2(diffs[0] / diffs[1]) >= 1.9
-    assert np.log2(diffs[1] / diffs[2]) >= 1.9
+    gx, gy = grad_values(unit_grid, ScalarField.constant(unit_grid, 7.0).values)
+    assert np.all(gx == 0.0)
+    assert np.all(gy == 0.0)
 
 
 def test_norms_of_constant(unit_grid):

@@ -33,8 +33,6 @@ def test_params_validation():
         ThermalStepParams(dt=0.0, delta=0.1)
     with pytest.raises(ValueError):
         ThermalStepParams(dt=0.1, delta=1.0)
-    with pytest.raises(ValueError):
-        ThermalStepParams(dt=0.1, delta=0.1, linearization="fully-implicit")
     ThermalStepParams(dt=0.1, delta=0.0)
 
 
@@ -163,23 +161,6 @@ def test_dissipation_source_heats(grid):
                            ScalarField.constant(grid, 1.0), params,
                            canonical_laws())
     assert out.min() > 0.2
-
-
-def test_kirchhoff_newton_matches_lagged(grid):
-    theta = ScalarField.from_function(
-        grid, lambda x, y: 0.5 + 0.1 * np.cos(np.pi * x))
-    rho = ScalarField.constant(grid, 1.0)
-    dt = 1e-3
-    lagged = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                              ScalarField.constant(grid, 0.0),
-                              ThermalStepParams(dt=dt, delta=0.0),
-                              canonical_laws())
-    newton = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                              ScalarField.constant(grid, 0.0),
-                              ThermalStepParams(dt=dt, delta=0.0,
-                                                linearization="kirchhoff-newton"),
-                              canonical_laws())
-    assert np.max(np.abs(lagged.values - newton.values)) <= 10.0 * dt ** 2
 
 
 def test_input_validation(grid):
