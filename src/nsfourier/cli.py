@@ -41,9 +41,11 @@ def _output_dir(args) -> str:
 
 def _load_config(path: str):
     try:
-        return parse_config(path)
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError([str(exc)]) from exc
+    return parse_config(text)
 
 
 def cmd_run(args) -> int:
@@ -140,8 +142,7 @@ def cmd_degiorgi(args) -> int:
     except SolverError as exc:
         return _fail("run", str(exc), EXIT_RUN)
     cert = ladder_run(traj, theta_floor=config.theta_floor, k_max=args.kmax,
-                      omega=args.omega, delta=config.delta,
-                      laws=traj.laws, M=args.M)
+                      omega=args.omega, M=args.M)
     print(certificate_text(cert), end="")
     if not cert["decay_ok"]:
         return _fail("certificate", "level energies did not decay",

@@ -25,7 +25,7 @@ from .errors import RunError, SolverError, StepError
 from .grid import Grid, ScalarField, integrate_values
 from .momentum import momentum_system, step_momentum
 from .state import FluidState, Trajectory
-from .thermal import ThermalStepParams, dissipation_field, step_temperature
+from .thermal import dissipation_field, step_temperature
 from .transport import advect_density
 
 MAX_DT_HALVINGS = 5
@@ -97,9 +97,8 @@ def fixed_point_step(state: FluidState, config: RunConfig,
 
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
-    params = ThermalStepParams(dt=dt, delta=config.delta)
     theta_new = step_temperature(state.theta, rho_new, state.rho, u_new,
-                                 diss, params, laws)
+                                 diss, dt, config.delta, laws)
     return FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
                       t=state.t + dt)
 
@@ -118,11 +117,11 @@ def _advance(state: FluidState, config: RunConfig, basis: StreamBasis,
         return first + second
 
 
-def _record(traj: Trajectory, config: RunConfig,
+def _record(traj: Trajectory,
             prev_record: DiagnosticsRecord | None) -> DiagnosticsRecord:
     """Diagnostics for the most recently appended state."""
     state = traj.final
-    rep = energy_report(state, config.delta, traj.basis, traj.laws)
+    rep = energy_report(traj, state)
     if prev_record is None:
         cum_diss = cum_eps = cum_sink = 0.0
         slack = 0.0
@@ -160,7 +159,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
                       eps=config.eps, delta=config.delta)
     state = initial_state(config, grid, basis)
     traj.append(state)
-    traj.records.append(_record(traj, config, None))
+    traj.records.append(_record(traj, None))
 
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
     e0 = traj.records[0].kinetic_energy + traj.records[0].thermal_energy
@@ -173,7 +172,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
                            partial_trajectory=traj) from exc
         for sub in substeps:
             traj.append(sub)
-            traj.records.append(_record(traj, config, traj.records[-1]))
+            traj.records.append(_record(traj, traj.records[-1]))
             if sub.rho.min() < rho_lo - 1e-12 or sub.rho.max() > rho_hi + 1e-12:
                 raise RunError("density left its initial bounds",
                                partial_trajectory=traj)

@@ -97,8 +97,7 @@ def truncation_phi(theta, C_k: float, omega: float = 0.0):
     return out if out.ndim else float(out)
 
 
-def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder,
-                   delta: float) -> np.ndarray:
+def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder) -> np.ndarray:
     """Spatial integrals of the three level-energy densities, shape
     (k_max + 1, n_states, 3): the (delta + rho) phi_k term, the dissipation
     term and the gradient term of every stored state at every rung.
@@ -120,14 +119,13 @@ def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder,
             phi = truncation_phi(s.theta.values, C_k, ladder.omega)
             mask = shifted <= C_k
             out[k, j] = (
-                integrate_values(grid, (delta + s.rho.values) * phi),
+                integrate_values(grid, (traj.delta + s.rho.values) * phi),
                 integrate_values(grid, mask * mu / shifted * dsq),
                 integrate_values(grid, mask * kap / shifted ** 2 * grad_sq))
     return out
 
 
-def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
-                 delta: float, laws, *,
+def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder, *,
                  integrals: np.ndarray | None = None) -> float:
     """Three-term level energy at ladder rung k:
 
@@ -135,8 +133,9 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
         + 2 (1 - delta) int_t int  mu(theta)/(theta+omega) 1_level |D(u)|^2
         + int_t int  kappa(theta)/(theta+omega)^2 1_level |grad theta|^2
 
-    with trapezoid time quadrature from t = 0 to the final time.
-    `integrals` is `rung_integrals(traj, ladder, delta)`, passed in when
+    with the trajectory's delta and laws and trapezoid time quadrature
+    from t = 0 to the final time.
+    `integrals` is `rung_integrals(traj, ladder)`, passed in when
     several rungs share it; it is built here otherwise.
     """
     if not traj.states:
@@ -144,7 +143,7 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
     if k > ladder.k_max:
         raise ValueError("k exceeds the ladder length")
     if integrals is None:
-        integrals = rung_integrals(traj, ladder, delta)
+        integrals = rung_integrals(traj, ladder)
     sup_series, diss_series, grad_series = integrals[k].T
     sup_term = max(0.0, float(np.max(sup_series)))
 
@@ -154,7 +153,7 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder,
         grad_int = float(np.trapezoid(grad_series, times))
     else:
         diss_int = grad_int = 0.0
-    return sup_term + 2.0 * (1.0 - delta) * diss_int + grad_int
+    return sup_term + 2.0 * (1.0 - traj.delta) * diss_int + grad_int
 
 
 def build_ladder(theta_floor: float, k_max: int = 8, omega: float = 0.0,
@@ -172,13 +171,20 @@ def build_ladder(theta_floor: float, k_max: int = 8, omega: float = 0.0,
 
 
 def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
-               omega: float = 0.0, delta: float = 0.0, laws=None,
+               omega: float = 0.0, delta: float | None = None, laws=None,
                M: float | None = None) -> dict:
     """Measure the full ladder of `build_ladder(theta_floor, k_max, omega,
-    M)` and certify the temperature lower bound."""
+    M)` and certify the temperature lower bound.
+
+    The level energies use the trajectory's delta and laws; a `delta` or
+    `laws` that is given must equal them."""
+    if delta is not None:
+        traj.require_params(delta=delta)
+    if laws is not None:
+        traj.require_params(laws=laws)
     ladder = build_ladder(theta_floor, k_max, omega, M)
-    integrals = rung_integrals(traj, ladder, delta)
-    U = [level_energy(traj, k, ladder, delta, laws, integrals=integrals)
+    integrals = rung_integrals(traj, ladder)
+    U = [level_energy(traj, k, ladder, integrals=integrals)
          for k in range(k_max + 1)]
     nonincreasing = all(U[k + 1] <= U[k] * (1.0 + 1e-12) + 1e-300
                         for k in range(k_max))

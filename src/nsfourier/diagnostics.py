@@ -7,7 +7,6 @@ separable test-function family, and the a priori bound monitors.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,10 @@ from .state import Trajectory
 from .thermal import dissipation_field
 
 ENERGY_SLACK_FACTOR = 1e-10
+# a priori monitor: the powers l of the theta^{(3-l)/2} H1 bounds, and the
+# density threshold omega of the dense set {rho >= omega} in the sink bound
+APRIORI_L_VALUES = (1.0, 0.5)
+DENSE_SET_OMEGA = 0.1
 
 CSV_COLUMNS = [
     "time", "kinetic_energy", "thermal_energy",
@@ -49,33 +52,26 @@ class DiagnosticsRecord:
         return ",".join(repr(getattr(self, c)) for c in CSV_COLUMNS)
 
 
-def write_diagnostics_csv(records, target) -> None:
-    """Fixed column order, one row per step; byte-deterministic."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w") if own else target
-    try:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(rec.row() + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
 def diagnostics_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_diagnostics_csv(records, buf)
-    return buf.getvalue()
+    """Fixed column order, one row per step; byte-deterministic."""
+    lines = [",".join(CSV_COLUMNS)] + [rec.row() for rec in records]
+    return "\n".join(lines) + "\n"
 
 
-def energy_report(state, delta: float, basis, laws) -> dict:
-    """Pointwise energies and norms of one state."""
-    grid = state.rho.grid
-    u = state.velocity(basis)
+def write_diagnostics_csv(records, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(diagnostics_csv_text(records))
+
+
+def energy_report(traj: Trajectory, state) -> dict:
+    """Pointwise energies and norms of one state of the trajectory."""
+    grid = traj.grid
+    u = state.velocity(traj.basis)
     speed2 = u.speed_sq()
     return {
         "kinetic_energy": 0.5 * integrate_values(grid, state.rho.values * speed2),
-        "thermal_energy": integrate_values(grid, (delta + state.rho.values) * state.theta.values),
+        "thermal_energy": integrate_values(
+            grid, (traj.delta + state.rho.values) * state.theta.values),
         "rho_min": state.rho.min(),
         "rho_max": state.rho.max(),
         "theta_min": state.theta.min(),
@@ -110,27 +106,18 @@ def energy_slack(total_new: float, total_old: float, sinks: dict) -> float:
             + sinks["delta_dissipation"] - total_old)
 
 
-def _require_trajectory_params(traj: Trajectory, **given) -> None:
-    """The verifiers read the trajectory's own delta, eps and laws; an
-    argument that disagrees with them would mix two problems."""
-    for name, value in given.items():
-        if value != getattr(traj, name):
-            raise ValueError(f"{name} = {value!r} differs from the "
-                             f"trajectory's {getattr(traj, name)!r}")
-
-
 def check_energy_inequality(traj: Trajectory, delta: float, eps: float) -> dict:
     """Total energy inequality per step:
 
         E(t_{m+1}) + dt [ eps |grad u|^2 + delta theta^3 + delta S:grad u ]
             <= E(t_m) + threshold.
 
-    delta and eps must be the trajectory's own.
+    delta and eps must be the trajectory's own; the check reads those.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
-    _require_trajectory_params(traj, delta=delta, eps=eps)
-    energies = [energy_report(s, delta, traj.basis, traj.laws) for s in traj.states]
+    traj.require_params(delta=delta, eps=eps)
+    energies = [energy_report(traj, s) for s in traj.states]
     totals = [e["kinetic_energy"] + e["thermal_energy"] for e in energies]
     worst = -np.inf
     worst_step = -1
@@ -189,9 +176,9 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
     Time quadrature is aligned with the backward-Euler stepping (flux,
     source and sink terms at the right endpoint), so the residual
     measures genuine inequality defect rather than quadrature mismatch.
-    delta and laws must be the trajectory's own.
+    delta and laws must be the trajectory's own; the report reads those.
     """
-    _require_trajectory_params(traj, delta=delta, laws=laws)
+    traj.require_params(delta=delta, laws=laws)
     if h.dh is None:
         raise ValueError("renorm function needs derivative data")
     theta_max = max(s.theta.max() for s in traj.states)
@@ -203,13 +190,13 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         raise ValueError("test function must vanish at the final time")
 
     grid = traj.grid
-    law = laws.conductivity
+    law = traj.laws.conductivity
     t1 = t2 = t3 = t4 = r1 = r2 = 0.0
     for m in range(len(traj.states) - 1):
         old, new = traj.states[m], traj.states[m + 1]
         dt = new.t - old.t
         H_old = np.asarray(eval_H(h, old.theta.values))
-        a_old = delta + old.rho.values
+        a_old = traj.delta + old.rho.values
         dphi = phi.at(new.t) - phi.at(old.t)
         t1 += integrate_values(grid, a_old * H_old * dphi)
 
@@ -224,11 +211,11 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
 
         hv_new = np.asarray(h.h(new.theta.values))
         t4 -= dt * psi1 * integrate_values(
-            grid, delta * new.theta.values ** 3 * hv_new * phi.chi)
+            grid, traj.delta * new.theta.values ** 3 * hv_new * phi.chi)
 
-        diss = dissipation_field(old.viscosity(laws), u1).values
+        diss = dissipation_field(old.viscosity(traj.laws), u1).values
         r1 += dt * psi1 * integrate_values(
-            grid, (delta - 1.0) * diss * hv_new * phi.chi)
+            grid, (traj.delta - 1.0) * diss * hv_new * phi.chi)
 
         tgx, tgy = grad_values(grid, new.theta.values)
         kap = np.asarray(eval_conductivity(law, new.theta.values))
@@ -238,7 +225,7 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
 
     init = traj.states[0]
     H0 = np.asarray(eval_H(h, init.theta.values))
-    r3 = -integrate_values(grid, (delta + init.rho.values) * H0 * phi.at(init.t))
+    r3 = -integrate_values(grid, (traj.delta + init.rho.values) * H0 * phi.at(init.t))
 
     lhs = t1 + t2 + t3 + t4
     rhs = r1 + r2 + r3
@@ -251,7 +238,7 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
             "passes": bool(residual <= tol), "terms": terms}
 
 
-def apriori_monitor(traj: Trajectory, l_values=(1.0, 0.5), omega: float = 0.1) -> dict:
+def apriori_monitor(traj: Trajectory) -> dict:
     """Maxima over the run of the a priori bound quantities."""
     if not traj.states:
         raise ValueError("empty trajectory")
@@ -273,11 +260,11 @@ def apriori_monitor(traj: Trajectory, l_values=(1.0, 0.5), omega: float = 0.1) -
         th_h1_sq.append(h1_sq_values(grid, s.theta.values))
         th_l3.append(integrate_values(grid, s.theta.values ** 3))
         row = []
-        for l in l_values:
+        for l in APRIORI_L_VALUES:
             row.append(h1_sq_values(grid, s.theta.values ** (0.5 * (3.0 - l))))
         pow_sq.append(row)
         sink_dense.append(integrate_values(
-            grid, s.theta.values ** 3 * (s.rho.values >= omega)))
+            grid, s.theta.values ** 3 * (s.rho.values >= DENSE_SET_OMEGA)))
 
     def time_l2(series):
         return float(np.sqrt(max(np.trapezoid(series, times), 0.0)))
@@ -292,6 +279,6 @@ def apriori_monitor(traj: Trajectory, l_values=(1.0, 0.5), omega: float = 0.1) -
         "sink_on_dense_set": float(np.trapezoid(sink_dense, times)),
     }
     pow_sq = np.array(pow_sq)
-    for i, l in enumerate(l_values):
+    for i, l in enumerate(APRIORI_L_VALUES):
         out[f"theta_pow_L2H1_l={l:g}"] = time_l2(pow_sq[:, i])
     return out

@@ -26,6 +26,9 @@ class Grid:
             raise ValueError(f"grid needs nx, ny >= 4, got ({self.nx}, {self.ny})")
         if self.Lx <= 0 or self.Ly <= 0:
             raise ValueError("domain lengths must be positive")
+        weights = np.outer(*self.axis_weights())
+        weights.flags.writeable = False
+        object.__setattr__(self, "_quad_weights", weights)
 
     @property
     def hx(self) -> float:
@@ -64,8 +67,9 @@ class Grid:
         return wx, wy
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid-rule nodal weights; sums to the domain area."""
-        return np.outer(*self.axis_weights())
+        """Trapezoid-rule nodal weights; sums to the domain area.  Built
+        once per grid and read-only."""
+        return self._quad_weights
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -145,7 +149,7 @@ class VectorField:
 
 def integrate(f: ScalarField) -> float:
     """Trapezoid-rule integral over the domain; exact for bilinear fields."""
-    return float(np.sum(f.grid.quad_weights() * f.values))
+    return integrate_values(f.grid, f.values)
 
 
 def integrate_values(grid: Grid, values: np.ndarray) -> float:

@@ -38,6 +38,15 @@ class Trajectory:
     states: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
+    def require_params(self, **given) -> None:
+        """Raise ValueError for a given delta, eps or laws other than this
+        trajectory's own: a verifier run with it would certify another
+        problem."""
+        for name, value in given.items():
+            if value != getattr(self, name):
+                raise ValueError(f"{name} = {value!r} differs from the "
+                                 f"trajectory's {getattr(self, name)!r}")
+
     def append(self, state: FluidState) -> None:
         if self.states and state.t <= self.states[-1].t:
             raise ValueError("time stamps must be strictly increasing")

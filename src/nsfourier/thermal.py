@@ -21,8 +21,6 @@ to the same residual tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -33,22 +31,8 @@ from .grid import Grid, ScalarField, VectorField
 from .transport import advect_values
 
 NEGATIVITY_GUARD = -1e-12
+NEWTON_TOL = 1e-10
 NEWTON_MAX = 50
-
-
-@dataclass
-class ThermalStepParams:
-    dt: float
-    delta: float
-    newton_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        # delta = 0 is admitted so the stepper can run the unregularized
-        # equation in limit studies
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
 
 
 def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
@@ -120,21 +104,26 @@ def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
 
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
                      rho_old: ScalarField, u: VectorField,
-                     diss: ScalarField, params: ThermalStepParams,
+                     diss: ScalarField, dt: float, delta: float,
                      laws) -> ScalarField:
-    """One backward-Euler step; returns the new non-negative temperature.
+    """One backward-Euler step of size dt; returns the new non-negative
+    temperature.
 
     `laws` must expose `conductivity`, a `ConductivityLaw`.
     """
     grid = theta.grid
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    # delta = 0 is admitted so the stepper can run the unregularized
+    # equation in limit studies
+    if not (0.0 <= delta < 1.0):
+        raise ValueError("delta must lie in [0, 1)")
     if theta.min() < 0:
         raise ValueError("theta must be non-negative")
     if rho_new.min() < 0 or rho_old.min() < 0:
         raise ValueError("density fields must be non-negative")
     if diss.min() < 0:
         raise ValueError("dissipation source must be non-negative")
-    dt = params.dt
-    delta = params.delta
 
     a_old = delta + rho_old.values
     a_new = delta + rho_new.values
@@ -165,7 +154,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
 
     t = t_adv.copy()
     scale = np.max(wflat * aflat / dt) * max(1.0, float(np.max(t_adv)))
-    tol = params.newton_tol * scale
+    tol = NEWTON_TOL * scale
     # The residual cannot drop below the round-off of S t, about
     # max|S| |t| 2^-52, which reaches several 1e-12 scale once kappa(theta)
     # is large (theta ~ 20).  Newton therefore also stops, inside the

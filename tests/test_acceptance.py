@@ -24,7 +24,7 @@ from nsfourier.diagnostics import (SeparableTestFunction,
                                    check_energy_inequality,
                                    diagnostics_csv_text, renorm_report)
 from nsfourier.grid import Grid, ScalarField, VectorField, integrate_values
-from nsfourier.thermal import ThermalStepParams, step_temperature
+from nsfourier.thermal import step_temperature
 from nsfourier.transport import advect_density, level_set_measure
 
 
@@ -172,8 +172,7 @@ def test_criterion_4_thermal_suite():
     rho = ScalarField.constant(grid, 1.0)
     out = step_temperature(ScalarField.constant(grid, 1.0), rho, rho,
                            VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0),
-                           ThermalStepParams(dt=dt, delta=delta), laws)
+                           ScalarField.constant(grid, 0.0), dt, delta, laws)
     oracle = brentq(lambda t: (delta + 1.0) * (t - 1.0) / dt + delta * t ** 3,
                     0.0, 1.0, xtol=1e-15)
     ok &= np.max(np.abs(out.values - oracle)) <= 1e-10
@@ -192,11 +191,10 @@ def test_criterion_4_thermal_suite():
                                      theta_samples=(0.0, 50.0),
                                      kappa_samples=(kappa, kappa)))
     dt, steps = 1e-3, 50
-    params = ThermalStepParams(dt=dt, delta=0.0)
     zero_u = VectorField.zero(grid)
     zero_src = ScalarField.constant(grid, 0.0)
     for _ in range(steps):
-        theta = step_temperature(theta, rho, rho, zero_u, zero_src, params,
+        theta = step_temperature(theta, rho, rho, zero_u, zero_src, dt, 0.0,
                                  const_laws)
     rate = kappa * np.pi ** 2
     measured = (theta.max() - theta.min()) / 2.0
@@ -210,8 +208,7 @@ def test_criterion_4_thermal_suite():
         grid, lambda x, y: 0.5 + 0.2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
     before = integrate_values(grid, rho.values * theta.values)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0),
-                           ThermalStepParams(dt=0.05, delta=0.0), laws)
+                           ScalarField.constant(grid, 0.0), 0.05, 0.0, laws)
     after = integrate_values(grid, rho.values * out.values)
     ok &= abs(after - before) <= 1e-10 * abs(before)
 

@@ -2,11 +2,13 @@
 wraps `(module, attribute)` pairs and the worker imports and patches
 names.  A rename or deletion in src/ breaks `bench/run.py --trace 1`
 with an AttributeError that no other test would see, so every such name
-must resolve here."""
+must resolve here, and every call the worker makes to one must fit its
+signature."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -22,15 +24,22 @@ def _tracer_paths():
     return [f"{module}.{attr}" for module, attr, _ in tracer.WRAPPED]
 
 
-def _worker_paths():
-    """Dotted paths of the names bench/worker.py imports from nsfourier and
-    of the attributes it reads off them."""
+def _worker_imports():
+    """bench/worker.py's syntax tree, and the dotted path of each name it
+    imports from nsfourier, by local name."""
     tree = ast.parse((BENCH / "worker.py").read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("nsfourier"):
             for alias in node.names:
                 imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return tree, imported
+
+
+def _worker_paths():
+    """Dotted paths of the names bench/worker.py imports from nsfourier and
+    of the attributes it reads off them."""
+    tree, imported = _worker_imports()
     paths = list(imported.values())
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -39,15 +48,46 @@ def _worker_paths():
     return paths
 
 
-def _resolves(dotted: str) -> bool:
-    """Whether the dotted path names an object, importing modules on the way."""
+def _worker_calls():
+    """(dotted path, positional count, keyword names, line) of each call in
+    bench/worker.py to an imported nsfourier name or to an attribute of one,
+    e.g. `ladder_run(...)` or `cli.main(...)`."""
+    tree, imported = _worker_imports()
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            path = imported[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in imported):
+            path = f"{imported[func.value.id]}.{func.attr}"
+        else:
+            continue
+        # a *args or **kwargs call cannot be counted without running it
+        assert not any(isinstance(a, ast.Starred) for a in node.args), path
+        keywords = [k.arg for k in node.keywords]
+        assert None not in keywords, path
+        calls.append((path, len(node.args), keywords, node.lineno))
+    return calls
+
+
+def _resolve(dotted: str):
+    """The object the dotted path names, importing modules on the way."""
     parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the dotted path names an object."""
     try:
-        obj = importlib.import_module(parts[0])
-        for i, part in enumerate(parts[1:], start=2):
-            if not hasattr(obj, part):
-                importlib.import_module(".".join(parts[:i]))
-            obj = getattr(obj, part)
+        _resolve(dotted)
     except (AttributeError, ImportError):
         return False
     return True
@@ -64,6 +104,33 @@ def test_worker_names_resolve():
     assert "nsfourier.coupler.fixed_point_step" in paths
     assert "nsfourier.cli.run_simulation" in paths
     assert [p for p in paths if not _resolves(p)] == []
+
+
+def test_worker_calls_fit_their_signatures():
+    calls = _worker_calls()
+    called = {path for path, *_ in calls}
+    assert {"nsfourier.degiorgi.ladder_run",
+            "nsfourier.diagnostics.check_energy_inequality",
+            "nsfourier.diagnostics.apriori_monitor",
+            "nsfourier.diagnostics.renorm_report",
+            "nsfourier.config.parse_config",
+            "nsfourier.cli.main"} <= called
+    misfits = []
+    for path, n_args, keywords, line in calls:
+        try:
+            inspect.signature(_resolve(path)).bind(
+                *[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            misfits.append(f"bench/worker.py:{line}: {path}: {exc}")
+    assert misfits == []
+
+
+def test_a_misfit_call_is_caught():
+    sig = inspect.signature(_resolve("nsfourier.degiorgi.ladder_run"))
+    with pytest.raises(TypeError):
+        sig.bind(None, no_such_keyword=None)
+    with pytest.raises(TypeError):
+        sig.bind(*[None] * 8)
 
 
 def test_a_missing_name_is_caught():

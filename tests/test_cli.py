@@ -68,6 +68,16 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: parse:")
 
 
+def test_run_reports_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.cfg"
+    code = main(["run", str(missing), "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: ")
+    assert "No such file or directory" in err
+    assert str(missing) in err
+
+
 def test_run_halves_dt_past_cfl_cap(tmp_path, capsys):
     # at dt 0.01 the m0 = 1 flow moves 8 cells per step, past the 5-cell
     # cap; the step is retried at dt 0.005 instead of failing the run

@@ -13,12 +13,12 @@ from nsfourier.grid import Grid, ScalarField
 from nsfourier.state import FluidState, Trajectory
 
 
-def make_trajectory(theta_values, rho_value=1.0, n_states=3):
+def make_trajectory(theta_values, rho_value=1.0, n_states=3, delta=1e-2):
     grid = Grid(nx=16, ny=16)
     basis = build_basis(grid, 2)
     laws = Laws(viscosity=ViscosityLaw(slope=1.0, theta_bar=1.0),
                 conductivity=ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0))
-    traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=1e-2)
+    traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=delta)
     for i in range(n_states):
         theta = (ScalarField.constant(grid, theta_values)
                  if np.isscalar(theta_values)
@@ -79,30 +79,29 @@ def test_ladder_invalid_params():
 def test_level_energy_constant_state_hand_value():
     c = 0.3
     delta = 0.1
-    traj = make_trajectory(c)
+    traj = make_trajectory(c, delta=delta)
     ladder = DeGiorgiLadder(M=2.0, omega=0.05, k_max=4)
-    U0 = level_energy(traj, 0, ladder, delta, traj.laws)
+    U0 = level_energy(traj, 0, ladder)
     expected = (delta + 1.0) * 1.0 * np.log(1.0 / (c + 0.05))
     assert U0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_level_energy_empty_level_sets():
-    traj = make_trajectory(1.5)
+    traj = make_trajectory(1.5, delta=0.1)
     ladder = DeGiorgiLadder(M=2.0, k_max=4)
-    assert level_energy(traj, 0, ladder, 0.1, traj.laws) == 0.0
+    assert level_energy(traj, 0, ladder) == 0.0
 
 
 def test_level_energy_monotone_in_k():
-    traj = make_trajectory(0.05)
+    traj = make_trajectory(0.05, delta=0.1)
     ladder = DeGiorgiLadder(M=3.0, k_max=6)
-    energies = [level_energy(traj, k, ladder, 0.1, traj.laws)
-                for k in range(7)]
+    energies = [level_energy(traj, k, ladder) for k in range(7)]
     for a, b in zip(energies, energies[1:]):
         assert b <= a + 1e-14
 
 
 def test_ladder_run_trivial_certificate():
-    traj = make_trajectory(1.5)
+    traj = make_trajectory(1.5, delta=0.1)
     cert = ladder_run(traj, theta_floor=1.0, k_max=6, delta=0.1,
                       laws=traj.laws)
     assert all(u == 0.0 for u in cert["U_sequence"])
@@ -112,8 +111,8 @@ def test_ladder_run_trivial_certificate():
 
 def test_ladder_run_detects_cold_trajectory():
     # constant temperature below the bottom level: energies cannot decay
-    cert = ladder_run(make_trajectory(1e-4), theta_floor=0.1, k_max=6,
-                      delta=0.1, laws=None)
+    cert = ladder_run(make_trajectory(1e-4, delta=0.1), theta_floor=0.1,
+                      k_max=6)
     assert not cert["decay_ok"]
 
 
@@ -124,7 +123,7 @@ def test_ladder_run_builds_each_state_once(monkeypatch):
     X, Y = grid.nodes()
     base = make_trajectory(0.1)
     traj = Trajectory(grid=grid, basis=base.basis, laws=base.laws,
-                      eps=1e-3, delta=1e-2)
+                      eps=1e-3, delta=0.1)
     for i in range(4):
         theta = 0.05 + 0.3 * X * (1.0 + Y) + 0.01 * i
         traj.append(FluidState(rho=ScalarField(grid, 1.0 + 0.2 * Y),
@@ -142,14 +141,27 @@ def test_ladder_run_builds_each_state_once(monkeypatch):
                       laws=traj.laws, M=3.0)
     assert len(calls) == len(traj.states)
     ladder = DeGiorgiLadder(M=3.0, omega=0.01, k_max=5)
-    per_rung = [level_energy(traj, k, ladder, 0.1, traj.laws)
-                for k in range(6)]
+    per_rung = [level_energy(traj, k, ladder) for k in range(6)]
     assert sum(u > 0.0 for u in per_rung) >= 3
     assert cert["U_sequence"] == per_rung
 
 
+def test_ladder_run_reads_the_trajectorys_delta_and_laws():
+    traj = make_trajectory(0.3)
+    cert = ladder_run(traj, theta_floor=0.2)
+    assert cert["U_sequence"][0] > 0.0
+    assert repr(cert) == repr(ladder_run(traj, theta_floor=0.2,
+                                         delta=traj.delta, laws=traj.laws))
+    with pytest.raises(ValueError, match="delta"):
+        ladder_run(traj, theta_floor=0.2, delta=0.5)
+    other = Laws(viscosity=ViscosityLaw(slope=2.0, theta_bar=1.0),
+                 conductivity=traj.laws.conductivity)
+    with pytest.raises(ValueError, match="laws"):
+        ladder_run(traj, theta_floor=0.2, laws=other)
+
+
 def test_certificate_text_fields():
-    traj = make_trajectory(1.5)
+    traj = make_trajectory(1.5, delta=0.1)
     cert = ladder_run(traj, theta_floor=1.0, k_max=3, delta=0.1,
                       laws=traj.laws)
     text = certificate_text(cert)

@@ -20,12 +20,13 @@ def small_run():
     return config, run_simulation(config)
 
 
-def make_static_trajectory(theta=0.5, rho=1.0, coeffs_scale=0.0, n_states=4):
+def make_static_trajectory(theta=0.5, rho=1.0, coeffs_scale=0.0, n_states=4,
+                           delta=0.0):
     grid = Grid(nx=16, ny=16)
     basis = build_basis(grid, 3)
     config = RunConfig()
     laws = config.laws()
-    traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=0.0)
+    traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=delta)
     for i in range(n_states):
         traj.append(FluidState(
             rho=ScalarField.constant(grid, rho),
@@ -35,24 +36,24 @@ def make_static_trajectory(theta=0.5, rho=1.0, coeffs_scale=0.0, n_states=4):
 
 
 def test_energy_report_zero_state():
-    traj = make_static_trajectory(theta=0.0)
-    rep = energy_report(traj.initial, 0.5, traj.basis, traj.laws)
+    traj = make_static_trajectory(theta=0.0, delta=0.5)
+    rep = energy_report(traj, traj.initial)
     assert rep["kinetic_energy"] == 0.0
     assert rep["thermal_energy"] == 0.0
     assert rep["u_H1"] == 0.0
 
 
 def test_energy_report_thermal_value():
-    traj = make_static_trajectory(theta=2.0, rho=1.0)
-    rep = energy_report(traj.initial, 0.5, traj.basis, traj.laws)
+    traj = make_static_trajectory(theta=2.0, rho=1.0, delta=0.5)
+    rep = energy_report(traj, traj.initial)
     assert rep["thermal_energy"] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_kinetic_energy_quadratic():
     t1 = make_static_trajectory(coeffs_scale=0.1)
     t2 = make_static_trajectory(coeffs_scale=0.2)
-    e1 = energy_report(t1.initial, 0.0, t1.basis, t1.laws)["kinetic_energy"]
-    e2 = energy_report(t2.initial, 0.0, t2.basis, t2.laws)["kinetic_energy"]
+    e1 = energy_report(t1, t1.initial)["kinetic_energy"]
+    e2 = energy_report(t2, t2.initial)["kinetic_energy"]
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 

@@ -6,8 +6,8 @@ from nsfourier.coefficients import ConductivityLaw
 from nsfourier.config import Laws
 from nsfourier.coefficients import ViscosityLaw
 from nsfourier.grid import Grid, ScalarField, VectorField, integrate
-from nsfourier.thermal import (ThermalStepParams, dissipation_field,
-                               neumann_divgrad, step_temperature)
+from nsfourier.thermal import (dissipation_field, neumann_divgrad,
+                               step_temperature)
 
 
 def constant_kappa_laws(kappa=1.0):
@@ -28,12 +28,16 @@ def grid():
     return Grid(nx=32, ny=32)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ThermalStepParams(dt=0.0, delta=0.1)
-    with pytest.raises(ValueError):
-        ThermalStepParams(dt=0.1, delta=1.0)
-    ThermalStepParams(dt=0.1, delta=0.0)
+def test_params_validation(grid):
+    theta = ScalarField.constant(grid, 0.5)
+    rho = ScalarField.constant(grid, 1.0)
+    fields = (theta, rho, rho, VectorField.zero(grid),
+              ScalarField.constant(grid, 0.0))
+    with pytest.raises(ValueError, match="dt"):
+        step_temperature(*fields, 0.0, 0.1, canonical_laws())
+    with pytest.raises(ValueError, match="delta"):
+        step_temperature(*fields, 0.1, 1.0, canonical_laws())
+    step_temperature(*fields, 0.1, 0.0, canonical_laws())
 
 
 def test_dissipation_zero_velocity(grid):
@@ -63,9 +67,8 @@ def test_dissipation_rigid_rotation(grid):
 def test_steady_state_constant_theta(grid):
     theta = ScalarField.constant(grid, 0.8)
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=0.1, delta=0.0)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0), params,
+                           ScalarField.constant(grid, 0.0), 0.1, 0.0,
                            canonical_laws())
     assert np.allclose(out.values, 0.8, atol=1e-12)
 
@@ -75,9 +78,8 @@ def test_uniform_sink_ode_matches_root_find(grid):
     dt = 0.1
     theta = ScalarField.constant(grid, 1.0)
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=dt, delta=delta)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0), params,
+                           ScalarField.constant(grid, 0.0), dt, delta,
                            canonical_laws())
     expected = brentq(lambda t: (delta + 1.0) * (t - 1.0) / dt
                       + delta * t ** 3, 0.0, 1.0, xtol=1e-15)
@@ -94,11 +96,10 @@ def test_cosine_diffusion_decay_rate():
     rho = ScalarField.constant(grid, 1.0)
     dt = 1e-3
     steps = 50
-    params = ThermalStepParams(dt=dt, delta=0.0)
     laws = constant_kappa_laws(kappa)
     for _ in range(steps):
         theta = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                                 ScalarField.constant(grid, 0.0), params, laws)
+                                 ScalarField.constant(grid, 0.0), dt, 0.0, laws)
     rate = kappa * np.pi ** 2
     measured = (theta.max() - theta.min()) / 2.0
     expected = amp * np.exp(-rate * dt * steps)
@@ -121,10 +122,9 @@ def test_thermal_content_conserved(grid):
     rho = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.5 + 0.2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
-    params = ThermalStepParams(dt=0.05, delta=0.0)
     before = integrate(ScalarField(grid, rho.values * theta.values))
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0), params,
+                           ScalarField.constant(grid, 0.0), 0.05, 0.0,
                            canonical_laws())
     after = integrate(ScalarField(grid, rho.values * out.values))
     assert abs(after - before) <= 1e-10 * abs(before)
@@ -134,9 +134,8 @@ def test_pure_diffusion_comparison_principle(grid):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=0.1, delta=0.0)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0), params,
+                           ScalarField.constant(grid, 0.0), 0.1, 0.0,
                            canonical_laws())
     assert out.min() >= theta.min() - 1e-12
     assert out.max() <= theta.max() + 1e-12
@@ -146,9 +145,8 @@ def test_output_nonnegative_with_strong_sink(grid):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.01 + 0.005 * np.cos(np.pi * x))
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=1.0, delta=0.5)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 0.0), params,
+                           ScalarField.constant(grid, 0.0), 1.0, 0.5,
                            canonical_laws())
     assert out.min() >= 0.0
 
@@ -156,25 +154,23 @@ def test_output_nonnegative_with_strong_sink(grid):
 def test_dissipation_source_heats(grid):
     theta = ScalarField.constant(grid, 0.2)
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=0.1, delta=0.0)
     out = step_temperature(theta, rho, rho, VectorField.zero(grid),
-                           ScalarField.constant(grid, 1.0), params,
+                           ScalarField.constant(grid, 1.0), 0.1, 0.0,
                            canonical_laws())
     assert out.min() > 0.2
 
 
 def test_input_validation(grid):
     rho = ScalarField.constant(grid, 1.0)
-    params = ThermalStepParams(dt=0.1, delta=0.1)
     with pytest.raises(ValueError):
         step_temperature(ScalarField.constant(grid, -0.1), rho, rho,
                          VectorField.zero(grid),
-                         ScalarField.constant(grid, 0.0), params,
+                         ScalarField.constant(grid, 0.0), 0.1, 0.1,
                          canonical_laws())
     with pytest.raises(ValueError):
         step_temperature(ScalarField.constant(grid, 0.1), rho, rho,
                          VectorField.zero(grid),
-                         ScalarField.constant(grid, -1.0), params,
+                         ScalarField.constant(grid, -1.0), 0.1, 0.1,
                          canonical_laws())
 
 
@@ -190,7 +186,7 @@ def hot_step_inputs():
 
 def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
     # kappa(20) ~ 400 puts the round-off floor of the residual at several
-    # 1e-12 of its scale, above the 1e-2 newton_tol stopping level
+    # 1e-12 of its scale, above the 1e-2 NEWTON_TOL stopping level
     import nsfourier.thermal as thermal
 
     grid, theta, rho = hot_step_inputs()
@@ -204,17 +200,16 @@ def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
 
     monkeypatch.setattr(thermal, "_solve_spd", counted)
 
-    def step(newton_tol):
+    def step():
         solves.clear()
         return step_temperature(theta, rho, rho, VectorField.zero(grid),
-                                ScalarField.constant(grid, 0.0),
-                                ThermalStepParams(dt=0.02, delta=0.01,
-                                                  newton_tol=newton_tol),
+                                ScalarField.constant(grid, 0.0), 0.02, 0.01,
                                 laws)
 
-    out = step(1e-10)
+    out = step()
     assert len(solves) <= 5
-    tight = step(1e-12)
+    monkeypatch.setattr(thermal, "NEWTON_TOL", 1e-12)
+    tight = step()
     assert np.max(np.abs(out.values - tight.values)) <= 1e-12 * tight.max()
 
 
@@ -255,8 +250,8 @@ def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
     monkeypatch.setattr(spla, "cg", counted_cg)
     monkeypatch.setattr(thermal, "_solve_spd", checked)
     step_temperature(theta, rho, rho, VectorField.zero(grid),
-                     ScalarField.constant(grid, 0.0),
-                     ThermalStepParams(dt=0.02, delta=0.01), canonical_laws())
+                     ScalarField.constant(grid, 0.0), 0.02, 0.01,
+                     canonical_laws())
     assert len(cg_iters) >= 2
     assert len(factorizations) == 1
     assert max(errors) <= 1e-12
