@@ -13,8 +13,8 @@ Galerkin assembly works on the flattened views eta (n, 2, P) and
 deta (n, 4, P) over the P grid nodes, without copying the basis arrays:
 a weighted integral int w f_i f_j dx of one component f becomes the
 symmetric rank-k BLAS update H H^T with H = f sqrt(w), and a vector
-integrand takes one such GEMM per component, so no temporary is larger
-than one (n, P) slab.
+integrand takes one such GEMM per component.  At most one (n, P) slab is
+alive at a time: the advection matrix accumulates over node blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = [
     "assemble_advection_matrix",
     "project_initial",
 ]
+
+# nodes per block of the advection assembly
+ADVECTION_BLOCK = 4096
 
 
 def _clamped_profile(p: int, s: np.ndarray, L: float):
@@ -157,7 +160,12 @@ def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> n
         raise ValueError("viscosity field and eps must be non-negative")
     w = (basis.grid.quad_weights() * mu_field.values).ravel()
     _, d = _flat(basis)
-    A = 4.0 * _weighted_gram(d[:, 0], w) + _weighted_gram(d[:, 1] + d[:, 2], w)
+    A = _weighted_gram(d[:, 0], w)
+    A *= 4.0
+    # H = s sqrt(w) formed in place, so s is the only slab alive
+    H = d[:, 1] + d[:, 2]
+    H *= np.sqrt(w)
+    A += H @ H.T
     if eps > 0:
         A += eps * basis.grad_gram
     return A
@@ -171,18 +179,22 @@ def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,
                                - (u . grad) eta_i . eta_j ] dx.
 
     Exact skew symmetry makes the advection energy-neutral for any
-    coefficient vector it acts on.  Per component a, the convective field
-    (u . grad) eta_{j,a} is formed node by node and
-    C_ij = int rho eta_i . (u . grad) eta_j takes one GEMM.
+    coefficient vector it acts on.  Per component a and block of
+    ADVECTION_BLOCK nodes, the convective field (u . grad) eta_{j,a} is
+    formed node by node and C_ij = int rho eta_i . (u . grad) eta_j gains
+    one GEMM, so its temporaries stay a fraction of one (n, P) slab.
     """
     w = (basis.grid.quad_weights() * rho.values).ravel()
     u, v = u_field.u.ravel(), u_field.v.ravel()
     eta, d = _flat(basis)
-    C = 0.0
-    for a in range(2):
-        conv = d[:, 2 * a] * u
-        conv += d[:, 2 * a + 1] * v
-        C = C + (eta[:, a] * w) @ conv.T
+    n = basis.n_modes
+    C = np.zeros((n, n))
+    for k in range(0, w.size, ADVECTION_BLOCK):
+        blk = slice(k, k + ADVECTION_BLOCK)
+        for a in range(2):
+            conv = d[:, 2 * a, blk] * u[blk]
+            conv += d[:, 2 * a + 1, blk] * v[blk]
+            C += (eta[:, a, blk] * w[blk]) @ conv.T
     return 0.5 * (C - C.T)
 
 

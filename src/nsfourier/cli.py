@@ -39,13 +39,17 @@ def _output_dir(args) -> str:
     return out
 
 
-def _load_config(path: str):
+def _read_text(path: str) -> str:
+    """The file's text; an OS error becomes a ConfigError."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigError([str(exc)]) from exc
-    return parse_config(text)
+
+
+def _load_config(path: str):
+    return parse_config(_read_text(path))
 
 
 def cmd_run(args) -> int:
@@ -81,19 +85,18 @@ def cmd_run(args) -> int:
 def _parse_schedule(path: str):
     entries = []
     problems = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                problems.append(f"line {lineno}: expected 'n eps delta'")
-                continue
-            try:
-                entries.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError:
-                problems.append(f"line {lineno}: malformed numbers")
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            problems.append(f"line {lineno}: expected 'n eps delta'")
+            continue
+        try:
+            entries.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        except ValueError:
+            problems.append(f"line {lineno}: malformed numbers")
     if problems:
         raise ConfigError(problems)
     if not entries:

@@ -122,12 +122,29 @@ _SCHEMA = {
 }
 
 
+def _names_a_file(source) -> bool:
+    """Whether `source` is a path rather than config text: any non-str,
+    an existing path, or one non-empty line that holds no '=' and does
+    not start with '['."""
+    if not isinstance(source, str):
+        return True
+    line = source.strip()
+    if "\n" in line:
+        return False
+    return os.path.exists(source) or (
+        bool(line) and "=" not in line and not line.startswith("["))
+
+
 def parse_config(source) -> RunConfig:
-    """Parse a config from a file path or from literal config text."""
+    """Parse a config from a file path or from literal config text; an
+    unreadable file is a ConfigError carrying the OS message."""
     text = source
-    if not isinstance(source, str) or ("\n" not in source and os.path.exists(source)):
-        with open(source) as fh:
-            text = fh.read()
+    if _names_a_file(source):
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError([str(exc)]) from exc
 
     problems: list[str] = []
     values: dict[str, object] = {}

@@ -10,7 +10,9 @@ once per step.  The temperature step closes the step once, after
 convergence, because the momentum step sees only the previous step's
 temperature through the lagged viscosity; re-running it inside the loop
 would change nothing.  On step failure the time loop halves dt and retries,
-up to five halvings.
+up to five halvings.  One `JacobianFactor` per run carries the thermal
+Jacobian's LU from step to step; it refactors itself when the Jacobian
+moves, as it does when dt is halved.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import RunError, SolverError, StepError
 from .grid import Grid, ScalarField, integrate_values
 from .momentum import momentum_system, step_momentum
 from .state import FluidState, Trajectory
-from .thermal import dissipation_field, step_temperature
+from .thermal import JacobianFactor, dissipation_field, step_temperature
 from .transport import advect_density
 
 MAX_DT_HALVINGS = 5
@@ -53,11 +55,13 @@ def initial_state(config: RunConfig, grid: Grid, basis: StreamBasis) -> FluidSta
 
 def fixed_point_step(state: FluidState, config: RunConfig,
                      basis: StreamBasis, dt: float | None = None,
-                     history_out: list | None = None) -> FluidState:
+                     history_out: list | None = None,
+                     factor: JacobianFactor | None = None) -> FluidState:
     """One converged time step of size dt (default config.dt).
 
     If history_out is a list, the relative coefficient change of each
-    sweep is appended to it for contraction monitoring."""
+    sweep is appended to it for contraction monitoring.  `factor` is
+    handed to `step_temperature`."""
     if dt is None:
         dt = config.dt
     laws = config.laws()
@@ -98,22 +102,22 @@ def fixed_point_step(state: FluidState, config: RunConfig,
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
     theta_new = step_temperature(state.theta, rho_new, state.rho, u_new,
-                                 diss, dt, config.delta, laws)
+                                 diss, dt, config.delta, laws, factor=factor)
     return FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
                       t=state.t + dt)
 
 
 def _advance(state: FluidState, config: RunConfig, basis: StreamBasis,
-             dt: float, depth: int = 0) -> list:
+             dt: float, factor: JacobianFactor, depth: int = 0) -> list:
     """Advance by dt, halving on failure; returns the substep states."""
     try:
-        return [fixed_point_step(state, config, basis, dt)]
+        return [fixed_point_step(state, config, basis, dt, factor=factor)]
     except (StepError, SolverError) as exc:
         if depth >= MAX_DT_HALVINGS or not isinstance(exc, StepError):
             raise
         half = 0.5 * dt
-        first = _advance(state, config, basis, half, depth + 1)
-        second = _advance(first[-1], config, basis, half, depth + 1)
+        first = _advance(state, config, basis, half, factor, depth + 1)
+        second = _advance(first[-1], config, basis, half, factor, depth + 1)
         return first + second
 
 
@@ -161,12 +165,13 @@ def run_simulation(config: RunConfig) -> Trajectory:
     traj.append(state)
     traj.records.append(_record(traj, None))
 
+    factor = JacobianFactor()
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
     e0 = traj.records[0].kinetic_energy + traj.records[0].thermal_energy
     while state.t < config.t_final - 1e-12 * max(config.t_final, 1.0):
         dt = min(config.dt, config.t_final - state.t)
         try:
-            substeps = _advance(state, config, basis, dt)
+            substeps = _advance(state, config, basis, dt, factor)
         except SolverError as exc:
             raise RunError(f"step from t = {state.t!r} failed: {exc}",
                            partial_trajectory=traj) from exc

@@ -11,15 +11,30 @@ A scale-down limiter keeps the advected thermal content from exceeding
 its pre-step integral, so the discrete total energy budget can never
 gain from interpolation error.
 
-With the lagged conductivity the diffusion operator S is fixed for the
-whole step, so successive Newton Jacobians diag(W (a/dt + 3 delta t^2)) - S
-differ only on the diagonal.  The step's first Jacobian is factored once
-by sparse LU and preconditions conjugate gradients for every Newton solve
-of the step; each solve then takes a few iterations and is still checked
-to the same residual tolerance.
+With the lagged conductivity the Newton Jacobian is
+
+    J = diag(D) - S = diag(D) + sum_f g_f (e_a - e_b)(e_a - e_b)^T,
+    D = W (a/dt + 3 delta t^2),  g_f = (kappa_a + kappa_b)/2 * (geometry),
+
+a positive diagonal plus one positive multiple of a rank-one PSD term
+per face.  If every D_n and every nodal kappa_n lies within a factor
+(1 +- eta) of the values J0 was built from, each term does too, so
+(1 - eta) J0 <= J <= (1 + eta) J0 in the Loewner order.  CG on J
+preconditioned by J0^-1 then sees a spectrum in [1 - eta, 1 + eta] and
+contracts the error in the J-norm by at least
+(sqrt(c) - 1)/(sqrt(c) + 1) ~ eta/2 per iteration, c = (1+eta)/(1-eta):
+at eta = 0.1, at most about 11 iterations reach the 1e-12 relative
+residual.  One sparse LU (`JacobianFactor`) is therefore kept across
+Newton solves and across time steps, and refactored only when
+eta = max(max|D/D0 - 1|, max|kappa/kappa0 - 1|) exceeds REFACTOR_ETA.
+Halving dt doubles a/dt, so a halved step always refactors.  Every
+solve is still checked to the same residual tolerance on J itself, so
+the rule decides only how many CG iterations a solve takes.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +48,9 @@ from .transport import advect_values
 NEGATIVITY_GUARD = -1e-12
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 50
+# widest Loewner band (1 +- eta) around the factored Jacobian that its
+# LU still serves; see the module docstring
+REFACTOR_ETA = 0.1
 
 
 def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
@@ -89,13 +107,72 @@ def _factor_preconditioner(J: sp.csr_matrix) -> spla.LinearOperator:
     return spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
 
 
+def _band_eta(new: np.ndarray, old: np.ndarray) -> float:
+    """max |new/old - 1|, or inf when the shapes differ; NaN where old
+    is 0 counts as outside every band."""
+    if new.shape != old.shape:
+        return np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = float(np.max(np.abs(new / old - 1.0)))
+    return eta if eta == eta else np.inf
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim   # glibc only
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _return_free_heap_pages() -> None:
+    """Hand the free pages of the C heap back to the OS, where glibc allows.
+
+    SuperLU reserves about ten times the memory its factor fills (15 MB
+    for 1.6 MB on a 65^2 grid).  A released factor leaves those blocks
+    free in the middle of the heap; its successor lands at a shifted
+    offset and touches new pages, so without this the resident size
+    creeps up with every refactorization (by 3 MB over 11 on the
+    `stressed` benchmark workload)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
+class JacobianFactor:
+    """The sparse LU of the last factored Newton Jacobian J0 = diag(D0) - S0,
+    with the D0 and nodal kappa0 it was built from.
+
+    One holder serves every Newton solve of a run.  `preconditioner`
+    refactors only when the Jacobian has left the (1 +- REFACTOR_ETA)
+    Loewner band around J0 (see the module docstring)."""
+
+    def __init__(self):
+        self._precond = None
+        self._diag = None
+        self._kappa = None
+
+    def preconditioner(self, J: sp.csr_matrix, diag: np.ndarray,
+                       kappa: np.ndarray) -> spla.LinearOperator:
+        """J0^-1 as a CG preconditioner for J = diag(diag) - S(kappa)."""
+        if (self._precond is None
+                or max(_band_eta(diag, self._diag),
+                       _band_eta(kappa, self._kappa)) > REFACTOR_ETA):
+            # release the old factor before the new one is built, so two
+            # are never alive at once
+            self._precond = self._diag = self._kappa = None
+            _return_free_heap_pages()
+            self._precond = _factor_preconditioner(J)
+            self._diag = diag.copy()
+            self._kappa = kappa.copy()
+        return self._precond
+
+
 def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
                precond: spla.LinearOperator) -> np.ndarray:
     """Solve J x = rhs by CG to a relative residual of 1e-12.
 
-    `precond` applies the inverse of a nearby Jacobian, the step's first
-    one, so CG converges in a few iterations; the residual check is on J
-    itself, so the solution does not inherit the factor's round-off."""
+    `precond` applies the inverse of a nearby Jacobian, the one
+    `JacobianFactor` holds, so CG converges in a few iterations; the
+    residual check is on J itself, so the solution does not inherit the
+    factor's round-off."""
     sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=precond)
     if info != 0:
         raise StepError(f"conjugate gradient failed to converge (info={info})")
@@ -105,11 +182,13 @@ def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
                      rho_old: ScalarField, u: VectorField,
                      diss: ScalarField, dt: float, delta: float,
-                     laws) -> ScalarField:
+                     laws, factor: JacobianFactor | None = None) -> ScalarField:
     """One backward-Euler step of size dt; returns the new non-negative
     temperature.
 
-    `laws` must expose `conductivity`, a `ConductivityLaw`.
+    `laws` must expose `conductivity`, a `ConductivityLaw`.  `factor`
+    carries the Jacobian's LU from earlier steps; None starts with
+    nothing factored.
     """
     grid = theta.grid
     if dt <= 0:
@@ -159,9 +238,11 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     # max|S| |t| 2^-52, which reaches several 1e-12 scale once kappa(theta)
     # is large (theta ~ 20).  Newton therefore also stops, inside the
     # tolerance, as soon as the residual has stopped contracting.
+    if factor is None:
+        factor = JacobianFactor()
+    kappa_flat = kappa_old.ravel()
     converged = False
     f_prev = np.inf
-    precond = None
     for _ in range(NEWTON_MAX):
         F = residual(t)
         f_max = float(np.max(np.abs(F)))
@@ -171,9 +252,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
         J = (sp.diags(diag) - S).tocsr()
-        if precond is None:
-            precond = _factor_preconditioner(J)
-        upd = _solve_spd(J, -F, precond)
+        upd = _solve_spd(J, -F, factor.preconditioner(J, diag, kappa_flat))
         t = t + upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
             converged = True

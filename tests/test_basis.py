@@ -225,3 +225,14 @@ def test_advection_matrix_matches_einsum_oracle(oracle_case):
     small, rho, _, u = oracle_case
     assert _rel_err(assemble_advection_matrix(small, rho, u),
                     _oracle_advection_matrix(small, rho, u)) <= 1e-13
+
+
+def test_advection_matrix_is_independent_of_its_node_blocks(oracle_case,
+                                                            monkeypatch):
+    import nsfourier.basis as basis_module
+
+    small, rho, _, u = oracle_case
+    # 525 nodes: five blocks of 100 and a last one of 25
+    monkeypatch.setattr(basis_module, "ADVECTION_BLOCK", 100)
+    assert _rel_err(assemble_advection_matrix(small, rho, u),
+                    _oracle_advection_matrix(small, rho, u)) <= 1e-13

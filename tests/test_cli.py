@@ -48,6 +48,20 @@ def test_parse_rejects_zero_theta_floor():
     assert any("theta_floor" in p for p in err.value.problems)
 
 
+def test_parse_config_reads_a_path(config_path, tmp_path):
+    assert parse_config(config_path) == parse_config(open(config_path).read())
+    assert parse_config(tmp_path / "run.cfg") == parse_config(config_path)
+
+
+def test_parse_config_reports_a_missing_file(tmp_path):
+    missing = str(tmp_path / "nonexistent.cfg")
+    with pytest.raises(ConfigError) as err:
+        parse_config(missing)
+    [problem] = err.value.problems
+    assert problem.startswith("[Errno 2] No such file or directory")
+    assert missing in problem
+
+
 def test_run_command(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", config_path, "--output-dir", str(out)])
@@ -141,6 +155,15 @@ def test_sweep_bad_schedule(config_path, tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: parse:")
+
+
+def test_sweep_reports_a_missing_schedule_file(config_path, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code = main(["sweep", config_path, "--schedule", str(missing),
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: parse: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_check_h_pass(capsys):

@@ -67,6 +67,25 @@ def test_momentum_invariants_assembled_once_per_step(monkeypatch):
                      "assemble_viscous": 1, "assemble_advection_matrix": 1}
 
 
+def test_quiet_run_factors_the_thermal_jacobian_once(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    factorizations = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    # the `default` workload's data on a small grid: kappa(theta) and the
+    # Newton diagonal barely move, so one LU serves all ten steps
+    traj = run_simulation(small_config(t_final=0.1, m0_amplitude=1e-4,
+                                       rho_amp=0.05, theta_amp=1e-4))
+    assert len(traj.states) == 11
+    assert len(factorizations) == 1
+
+
 def test_zero_t_final_gives_initial_state_only():
     traj = run_simulation(small_config(t_final=0.0))
     assert len(traj.states) == 1

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from nsfourier.coefficients import ConductivityLaw
 from nsfourier.config import Laws
 from nsfourier.coefficients import ViscosityLaw
 from nsfourier.grid import Grid, ScalarField, VectorField, integrate
-from nsfourier.thermal import (dissipation_field, neumann_divgrad,
-                               step_temperature)
+from nsfourier.thermal import (REFACTOR_ETA, JacobianFactor,
+                               _factor_preconditioner, dissipation_field,
+                               neumann_divgrad, step_temperature)
 
 
 def constant_kappa_laws(kappa=1.0):
@@ -256,3 +260,106 @@ def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
     assert len(factorizations) == 1
     assert max(errors) <= 1e-12
     assert max(cg_iters) <= 5
+
+
+def counted_splu(monkeypatch):
+    """Patch spla.splu to count factorizations; returns the count list."""
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_factor_is_kept_until_the_jacobian_leaves_its_band(grid, monkeypatch):
+    factor = JacobianFactor()
+    splu_calls = counted_splu(monkeypatch)
+
+    def step(theta0, dt, grid=grid):
+        theta = ScalarField.from_function(
+            grid, lambda x, y: theta0 + 0.01 * np.cos(np.pi * x))
+        rho = ScalarField.constant(grid, 1.0)
+        step_temperature(theta, rho, rho, VectorField.zero(grid),
+                         ScalarField.constant(grid, 0.0), dt, 0.01,
+                         canonical_laws(), factor=factor)
+        return len(splu_calls)
+
+    assert step(0.5, 0.02) == 1
+    # kappa = 1 + theta^2 moves by 2% and D not at all: the factor stays
+    assert step(0.51, 0.02) == 1
+    # halving dt doubles a/dt on the diagonal
+    assert step(0.51, 0.01) == 2
+    assert step(0.51, 0.01) == 2
+    # theta 0.51 -> 0.8 moves kappa by 31%
+    assert step(0.8, 0.01) == 3
+    # a holder handed a Jacobian of another size refactors
+    assert step(0.8, 0.01, grid=Grid(nx=16, ny=16)) == 4
+
+
+def test_old_factor_is_released_before_refactoring(grid, monkeypatch):
+    factor = JacobianFactor()
+    held = []
+    splu = spla.splu
+
+    def checked(*args, **kwargs):
+        held.append(factor._precond is not None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", checked)
+    rho = ScalarField.constant(grid, 1.0)
+    theta = ScalarField.constant(grid, 0.5)
+    for dt in (0.02, 0.01):
+        step_temperature(theta, rho, rho, VectorField.zero(grid),
+                         ScalarField.constant(grid, 0.0), dt, 0.01,
+                         canonical_laws(), factor=factor)
+    assert held == [False, False]
+
+
+def test_reused_factor_matches_a_fresh_one(monkeypatch):
+    grid, theta, rho = hot_step_inputs()
+    laws = canonical_laws()
+    source = ScalarField.constant(grid, 0.0)
+    factor = JacobianFactor()
+    splu_calls = counted_splu(monkeypatch)
+    step_temperature(theta, rho, rho, VectorField.zero(grid), source, 0.02,
+                     0.01, laws, factor=factor)
+    # kappa(theta) moves by about 2%, inside the band: the factor is reused
+    warmer = ScalarField(grid, theta.values + 0.2)
+    reused = step_temperature(warmer, rho, rho, VectorField.zero(grid),
+                              source, 0.02, 0.01, laws, factor=factor)
+    assert len(splu_calls) == 1
+    fresh = step_temperature(warmer, rho, rho, VectorField.zero(grid),
+                             source, 0.02, 0.01, laws)
+    assert np.max(np.abs(reused.values - fresh.values)) <= 1e-12 * fresh.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       d_decade=st.floats(-2.0, 4.0), kappa_decade=st.floats(-1.0, 3.0),
+       spread=st.floats(0.0, 3.0))
+def test_band_bounds_preconditioned_cg(seed, d_decade, kappa_decade, spread):
+    # (1 - eta) J0 <= J <= (1 + eta) J0 for any nodewise perturbation of D
+    # and kappa within 1 +- eta, so J0's LU takes CG to 1e-12 in at most
+    # ~11 iterations whatever the contrast of D0 and kappa0.  The decades
+    # cover the levels of D/W = a/dt + 3 delta t^2 and of
+    # kappa = kappa_lo (1 + theta^2) that runs reach, with up to three
+    # decades of contrast from node to node.
+    grid = Grid(nx=16, ny=16)
+    rng = np.random.default_rng(seed)
+    W = grid.quad_weights().ravel()
+    D0 = W * 10.0 ** (d_decade + rng.uniform(0.0, spread, W.size))
+    kappa0 = 10.0 ** (kappa_decade + rng.uniform(0.0, spread, grid.shape))
+
+    def jacobian(D, kappa):
+        return (sp.diags(D) - neumann_divgrad(grid, kappa)).tocsr()
+
+    precond = _factor_preconditioner(jacobian(D0, kappa0))
+    D = D0 * (1.0 + REFACTOR_ETA * rng.uniform(-1.0, 1.0, D0.shape))
+    kappa = kappa0 * (1.0 + REFACTOR_ETA * rng.uniform(-1.0, 1.0, kappa0.shape))
+    _, info = spla.cg(jacobian(D, kappa), rng.standard_normal(W.size),
+                      rtol=1e-12, atol=0.0, maxiter=11, M=precond)
+    assert info == 0
