@@ -13,7 +13,7 @@ import sys
 
 from .coefficients import RenormFunction, check_h_admissible
 from .config import parse_config
-from .coupler import continuation_sweep, run_simulation
+from .coupler import continuation_sweep, run_simulation, schedule_config
 from .degiorgi import (Lemma62Params, build_ladder, certificate_text,
                        ladder_run, lemma62_iterate, lemma62_threshold)
 from .diagnostics import write_diagnostics_csv
@@ -82,7 +82,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(path: str):
+def _parse_schedule(path: str, config):
+    """The (n, eps, delta) entries of a schedule file; every entry must
+    give a valid config when applied to `config`."""
     entries = []
     problems = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -94,9 +96,13 @@ def _parse_schedule(path: str):
             problems.append(f"line {lineno}: expected 'n eps delta'")
             continue
         try:
-            entries.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            entry = (int(parts[0]), float(parts[1]), float(parts[2]))
         except ValueError:
             problems.append(f"line {lineno}: malformed numbers")
+            continue
+        entries.append(entry)
+        problems += [f"line {lineno}: {p}"
+                     for p in schedule_config(config, *entry).validate()]
     if problems:
         raise ConfigError(problems)
     if not entries:
@@ -107,7 +113,7 @@ def _parse_schedule(path: str):
 def cmd_sweep(args) -> int:
     try:
         config = _load_config(args.config)
-        schedule = _parse_schedule(args.schedule)
+        schedule = _parse_schedule(args.schedule, config)
     except ConfigError as exc:
         return _fail("parse", "; ".join(exc.problems), EXIT_PARSE)
     out = _output_dir(args)

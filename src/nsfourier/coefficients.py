@@ -142,10 +142,6 @@ class ViscosityLaw:
             raise ValueError("plateau below slope*theta_bar breaks the "
                              "low-temperature bound mu >= slope*theta")
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return self.slope
-
 
 def eval_viscosity(law: ViscosityLaw, theta):
     """mu(theta); vanishes at theta = 0, plateau for theta >= theta_bar."""

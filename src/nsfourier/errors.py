@@ -30,10 +30,6 @@ class DegenerateInputError(SolverError):
 class StepError(SolverError):
     """A single time step failed; the caller may retry with a smaller dt."""
 
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
-
 
 class SchemeError(SolverError):
     """The discrete scheme violated one of its structural guarantees."""

@@ -54,10 +54,6 @@ class Grid:
         """Meshgrid node coordinates, shape (nx+1, ny+1) each."""
         return np.meshgrid(self.x, self.y, indexing="ij")
 
-    @property
-    def area(self) -> float:
-        return self.Lx * self.Ly
-
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """1-D trapezoid-rule weights along x and along y."""
         wx = np.full(self.nx + 1, self.hx)
@@ -128,11 +124,8 @@ class VectorField:
         z = np.zeros(grid.shape)
         return cls(grid, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.u, self.v)
-
     def max_speed(self) -> float:
-        return float(self.magnitude().max())
+        return float(np.hypot(self.u, self.v).max())
 
     def speed_sq(self) -> np.ndarray:
         return self.u ** 2 + self.v ** 2

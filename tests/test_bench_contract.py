@@ -3,7 +3,9 @@ wraps `(module, attribute)` pairs and the worker imports and patches
 names.  A rename or deletion in src/ breaks `bench/run.py --trace 1`
 with an AttributeError that no other test would see, so every such name
 must resolve here, and every call the worker makes to one must fit its
-signature."""
+signature.  A wrapped name that stays importable but is no longer called
+would read zero in its layer metric instead, so each must be called by
+name in its module's source."""
 
 import ast
 import importlib
@@ -16,12 +18,24 @@ import pytest
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer_paths():
+def _tracer_wrapped():
+    """The (module, attribute) pairs bench/tracer.py wraps."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [f"{module}.{attr}" for module, attr, _ in tracer.WRAPPED]
+    return [(module, attr) for module, attr, _ in tracer.WRAPPED]
+
+
+def _tracer_paths():
+    return [f"{module}.{attr}" for module, attr in _tracer_wrapped()]
+
+
+def _called_names(module: str) -> set:
+    """The names the module's source calls directly, as `name(...)`."""
+    source = pathlib.Path(importlib.util.find_spec(module).origin).read_text()
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
 def _worker_imports():
@@ -96,6 +110,18 @@ def _resolves(dotted: str) -> bool:
 @pytest.mark.parametrize("path", _tracer_paths())
 def test_tracer_wrapped_names_resolve(path):
     assert _resolves(path)
+
+
+@pytest.mark.parametrize("module, attr", _tracer_wrapped(),
+                         ids=_tracer_paths())
+def test_tracer_wrapped_names_are_called(module, attr):
+    assert attr in _called_names(module)
+
+
+def test_an_uncalled_name_is_caught():
+    assert "build_basis" in _called_names("nsfourier.coupler")
+    # imported for an annotation only
+    assert "StreamBasis" not in _called_names("nsfourier.state")
 
 
 def test_worker_names_resolve():

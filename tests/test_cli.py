@@ -157,6 +157,21 @@ def test_sweep_bad_schedule(config_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: parse:")
 
 
+def test_sweep_rejects_an_invalid_schedule_entry_before_any_run(
+        config_path, tmp_path, capsys):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("6 1e-2 1e-2\n0 1e-3 1e-2\n4 1e-3 1.5\n")
+    code = main(["sweep", config_path, "--schedule", str(schedule),
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: parse: line 2: basis.n_modes must be at least 1; ")
+    assert "line 3: regularization.delta must lie in" in captured.err
+    assert not (tmp_path / "sweep_report.txt").exists()
+
+
 def test_sweep_reports_a_missing_schedule_file(config_path, tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     code = main(["sweep", config_path, "--schedule", str(missing),

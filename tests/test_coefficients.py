@@ -49,7 +49,7 @@ def test_viscosity_slope_lower_bound(theta):
 def test_viscosity_lipschitz(a, b):
     law = ViscosityLaw(slope=3.0, theta_bar=2.0)
     assert abs(eval_viscosity(law, a) - eval_viscosity(law, b)) \
-        <= law.lipschitz_constant * abs(a - b) + 1e-12
+        <= law.slope * abs(a - b) + 1e-12
 
 
 def test_viscosity_plateau_below_kink_rejected():

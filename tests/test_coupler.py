@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import nsfourier.coupler as coupler
+import nsfourier.momentum as momentum
+import nsfourier.state as state_module
 from nsfourier.basis import build_basis
 from nsfourier.config import RunConfig
 from nsfourier.coupler import (build_grid, continuation_sweep,
                                fixed_point_step, initial_state,
                                run_simulation)
-from nsfourier.diagnostics import diagnostics_csv_text
+from nsfourier.diagnostics import check_energy_inequality, diagnostics_csv_text
 from nsfourier.errors import RunError
 from nsfourier.grid import ScalarField
-from nsfourier.state import FluidState
+from nsfourier.state import FluidState, Trajectory
+from nsfourier.thermal import dissipation_field
 
 
 def small_config(**overrides):
@@ -25,9 +29,9 @@ def test_equilibrium_is_fixed_point():
     grid = build_grid(config)
     basis = build_basis(grid, config.n_modes)
     state = initial_state(config, grid, basis)
-    history = []
-    out = fixed_point_step(state, config, basis, history_out=history)
-    assert len(history) == 1
+    step = fixed_point_step(state, config, basis, config.dt)
+    out = step.state
+    assert len(step.sweeps) == 1
     assert np.array_equal(out.coeffs, state.coeffs)
     assert np.array_equal(out.rho.values, state.rho.values)
     assert np.allclose(out.theta.values, state.theta.values, atol=1e-12)
@@ -38,8 +42,7 @@ def test_picard_contraction():
     grid = build_grid(config)
     basis = build_basis(grid, config.n_modes)
     state = initial_state(config, grid, basis)
-    history = []
-    fixed_point_step(state, config, basis, history_out=history)
+    history = fixed_point_step(state, config, basis, config.dt).sweeps
     assert len(history) >= 2
     for a, b in zip(history[1:], history[2:]):
         assert b < a
@@ -59,9 +62,7 @@ def test_momentum_invariants_assembled_once_per_step(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(momentum, name, counted)
-    history = []
-    fixed_point_step(state, config, basis, history_out=history)
-    sweeps = len(history)
+    sweeps = len(fixed_point_step(state, config, basis, config.dt).sweeps)
     assert sweeps >= 2
     assert calls == {"assemble_weighted_gram": sweeps + 1,
                      "assemble_viscous": 1, "assemble_advection_matrix": 1}
@@ -84,6 +85,59 @@ def test_quiet_run_factors_the_thermal_jacobian_once(monkeypatch):
                                        rho_amp=0.05, theta_amp=1e-4))
     assert len(traj.states) == 11
     assert len(factorizations) == 1
+
+
+def count_reconstructions(monkeypatch) -> list:
+    """Patch every module that binds `reconstruct_velocity`; the returned
+    list grows by one entry per call."""
+    calls = []
+    for module in (coupler, momentum, state_module):
+        def counted(*args, _fn=module.reconstruct_velocity):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(module, "reconstruct_velocity", counted)
+    return calls
+
+
+def test_run_builds_each_velocity_once_per_sweep(monkeypatch):
+    steps = []
+
+    def kept_step(*args, **kwargs):
+        steps.append(fixed_point_step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(coupler, "fixed_point_step", kept_step)
+    calls = count_reconstructions(monkeypatch)
+    traj = run_simulation(small_config(dt=0.005, m0_amplitude=0.05))
+    assert len(steps) == len(traj.states) - 1 == 10
+    # u_old and one velocity per later sweep and u_new per step, plus the
+    # initial state's for its record
+    assert len(calls) == sum(len(s.sweeps) + 1 for s in steps) + 1
+    assert sum(len(s.sweeps) for s in steps) > len(steps)
+
+
+def test_run_rows_match_rows_rebuilt_from_the_states():
+    config = small_config(dt=0.005, m0_amplitude=0.05)
+    traj = run_simulation(config)
+    rebuilt = Trajectory(grid=traj.grid, basis=traj.basis, laws=traj.laws,
+                         eps=traj.eps, delta=traj.delta)
+    records = []
+    for m, state in enumerate(traj.states):
+        rebuilt.append(state)
+        u = state.velocity(traj.basis)
+        diss = None if m == 0 else dissipation_field(
+            traj.states[m - 1].viscosity(traj.laws), u)
+        records.append(coupler._record(rebuilt, records[-1] if records else None,
+                                       u, diss))
+    assert [r.row() for r in traj.records] == [r.row() for r in records]
+    assert traj.records[-1].cum_dissipation > 0.0
+
+
+def test_energy_check_builds_each_velocity_once(monkeypatch):
+    traj = run_simulation(small_config(m0_amplitude=0.01))
+    calls = count_reconstructions(monkeypatch)
+    assert check_energy_inequality(traj, traj.delta, traj.eps)["passes"]
+    assert len(calls) == len(traj.states)
 
 
 def test_zero_t_final_gives_initial_state_only():

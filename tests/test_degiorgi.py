@@ -63,8 +63,6 @@ def test_ladder_gamma_and_floor():
     ladder = DeGiorgiLadder(M=4.0)
     assert ladder.gamma == pytest.approx(1.25)
     assert ladder.gamma > 1.0
-    assert ladder.check_floor(0.2)
-    assert not ladder.check_floor(np.exp(-2.0) / 2)
 
 
 def test_ladder_invalid_params():

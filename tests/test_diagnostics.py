@@ -37,7 +37,7 @@ def make_static_trajectory(theta=0.5, rho=1.0, coeffs_scale=0.0, n_states=4,
 
 def test_energy_report_zero_state():
     traj = make_static_trajectory(theta=0.0, delta=0.5)
-    rep = energy_report(traj, traj.initial)
+    rep = energy_report(traj, traj.initial, traj.initial.velocity(traj.basis))
     assert rep["kinetic_energy"] == 0.0
     assert rep["thermal_energy"] == 0.0
     assert rep["u_H1"] == 0.0
@@ -45,15 +45,15 @@ def test_energy_report_zero_state():
 
 def test_energy_report_thermal_value():
     traj = make_static_trajectory(theta=2.0, rho=1.0, delta=0.5)
-    rep = energy_report(traj, traj.initial)
+    rep = energy_report(traj, traj.initial, traj.initial.velocity(traj.basis))
     assert rep["thermal_energy"] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_kinetic_energy_quadratic():
     t1 = make_static_trajectory(coeffs_scale=0.1)
     t2 = make_static_trajectory(coeffs_scale=0.2)
-    e1 = energy_report(t1, t1.initial)["kinetic_energy"]
-    e2 = energy_report(t2, t2.initial)["kinetic_energy"]
+    e1, e2 = (energy_report(t, t.initial, t.initial.velocity(t.basis))
+              ["kinetic_energy"] for t in (t1, t2))
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 

@@ -18,7 +18,6 @@ def test_grid_rejects_tiny():
 
 
 def test_grid_area(unit_grid):
-    assert unit_grid.area == 1.0
     assert np.sum(unit_grid.quad_weights()) == pytest.approx(1.0, rel=1e-14)
 
 
