@@ -34,7 +34,6 @@ __all__ = [
     "assemble_weighted_gram",
     "assemble_viscous",
     "assemble_advection_matrix",
-    "project_initial",
 ]
 
 # nodes per block of the advection assembly
@@ -196,17 +195,3 @@ def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,
             conv += d[:, 2 * a + 1, blk] * v[blk]
             C += (eta[:, a, blk] * w[blk]) @ conv.T
     return 0.5 * (C - C.T)
-
-
-def project_initial(basis: StreamBasis, rho0: ScalarField,
-                    m0: VectorField) -> np.ndarray:
-    """Coefficients with int rho0 u . eta_i = int m0 . eta_i for all i."""
-    if rho0.min() <= 0:
-        raise ValueError("rho0 must be bounded away from zero")
-    M = assemble_weighted_gram(basis, rho0)
-    mm = np.stack([m0.u, m0.v]) * basis.grid.quad_weights()
-    r = basis.eta.reshape(basis.n_modes, -1) @ mm.ravel()
-    try:
-        return np.linalg.solve(M, r)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"weighted Gram matrix is singular: {exc}") from exc

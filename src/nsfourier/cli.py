@@ -62,8 +62,6 @@ def cmd_run(args) -> int:
         traj = run_simulation(config)
     except SolverError as exc:
         return _fail("run", str(exc), EXIT_RUN)
-    except ValueError as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
     write_diagnostics_csv(traj.records, os.path.join(out, "diagnostics.csv"))
     for i, state in enumerate(traj.states):
         if i % config.output_every == 0 or i == len(traj.states) - 1:

@@ -7,7 +7,10 @@ h''(z) h(z) >= 2 (h'(z))^2, and the antiderivative transforms
 
     K(t)   = int_0^t kappa(z) dz,
     H(t)   = int_0^t h(z) dz,
-    K_h(t) = int_0^t kappa(z) h(z) dz.
+    K_h(t) = int_0^t kappa(z) h(z) dz,
+
+all in closed form; a law or h outside the families that have one
+raises CapabilityError.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _quad
-from scipy.optimize import brentq
 
 from .errors import CapabilityError
 
@@ -103,22 +104,18 @@ def kirchhoff_K(law: ConductivityLaw, theta):
 
 
 def kirchhoff_K_inverse(law: ConductivityLaw, y):
-    """theta with K(theta) = y to relative accuracy 1e-10; monotone in y."""
-    ys = np.asarray(y, dtype=float)
-    _require_nonneg(ys, "y")
+    """theta with K(theta) = y; monotone in y.
 
-    def invert(val):
-        if val == 0.0:
-            return 0.0
-        hi = max(1.0, (3.0 * val / max(law.kappa_lo, 1e-300)) ** (1.0 / 3.0) + 1.0)
-        while kirchhoff_K(law, hi) < val:
-            hi *= 2.0
-        return brentq(lambda t: kirchhoff_K(law, t) - val, 0.0, hi,
-                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
-
-    if np.ndim(y):
-        return np.vectorize(invert)(ys)
-    return float(invert(float(ys)))
+    For the canonical law this is the one real root of
+    theta^3 + 3 theta = 3 y / kappa_lo, namely
+    2 sinh(asinh(3 y / (2 kappa_lo)) / 3).  Tabulated laws have no
+    closed-form inverse and raise CapabilityError.
+    """
+    ys = _require_nonneg(y, "y")
+    if law.form != "canonical":
+        raise CapabilityError(f"no closed-form K inverse for the {law.form} law")
+    out = 2.0 * np.sinh(np.arcsinh(1.5 * ys / law.kappa_lo) / 3.0)
+    return out if np.ndim(y) else float(out)
 
 
 @dataclass(frozen=True)
@@ -195,11 +192,14 @@ class RenormFunction:
 
     @classmethod
     def from_callables(cls, h, dh=None, d2h=None, name="custom") -> "RenormFunction":
+        """A custom h for `check_h_admissible`; H and K_h, and with them
+        the renormalized inequality, exist only for the built-in families."""
         return cls(form=name, h=h, dh=dh, d2h=d2h)
 
 
 def eval_H(h: RenormFunction, theta):
-    """H(theta) = int_0^theta h; closed form for the built-in families."""
+    """H(theta) = int_0^theta h in closed form; CapabilityError for an h
+    outside the built-in families."""
     arr = _require_nonneg(theta)
     if h.form == "power":
         l = h.exponent
@@ -211,12 +211,7 @@ def eval_H(h: RenormFunction, theta):
         top = np.minimum(arr, h.cutoff - h.omega)
         out = np.where(top > 0, np.log((np.maximum(top, 0.0) + h.omega) / h.omega), 0.0)
     else:
-        def one(t):
-            if t == 0.0:
-                return 0.0
-            val, _ = _quad.quad(h.h, 0.0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
-            return val
-        out = np.vectorize(one)(arr)
+        raise CapabilityError(f"no closed-form H for the {h.form} renorm function")
     return out if np.ndim(theta) else float(out)
 
 
@@ -224,33 +219,27 @@ def eval_K_h(h: RenormFunction, law: ConductivityLaw, theta):
     """K_h(theta) = int_0^theta kappa(z) h(z) dz.
 
     Closed form for canonical kappa with the power family (substituting
-    t = 1+z turns the integrand into kappa_lo (t^2 - 2t + 2) t^(-l)),
-    adaptive quadrature otherwise at relative error <= 1e-10.
+    t = 1+z turns the integrand into kappa_lo (t^2 - 2t + 2) t^(-l));
+    every other pair raises CapabilityError.
     """
     arr = _require_nonneg(theta)
-    if law.form == "canonical" and h.form == "power":
-        l = h.exponent
-        t = 1.0 + arr
+    if law.form != "canonical" or h.form != "power":
+        raise CapabilityError(
+            f"no closed-form K_h for the {h.form} renorm function with the "
+            f"{law.form} law")
+    l = h.exponent
+    t = 1.0 + arr
 
-        def antider(tv):
-            first = tv ** (3.0 - l) / (3.0 - l)
-            second = -2.0 * tv ** (2.0 - l) / (2.0 - l)
-            if l == 1.0:
-                third = 2.0 * np.log(tv)
-            else:
-                third = 2.0 * tv ** (1.0 - l) / (1.0 - l)
-            return first + second + third
+    def antider(tv):
+        first = tv ** (3.0 - l) / (3.0 - l)
+        second = -2.0 * tv ** (2.0 - l) / (2.0 - l)
+        if l == 1.0:
+            third = 2.0 * np.log(tv)
+        else:
+            third = 2.0 * tv ** (1.0 - l) / (1.0 - l)
+        return first + second + third
 
-        out = law.kappa_lo * (antider(t) - antider(1.0))
-    else:
-        def one(tv):
-            if tv == 0.0:
-                return 0.0
-            val, _ = _quad.quad(
-                lambda z: eval_conductivity(law, z) * np.asarray(h.h(z), dtype=float),
-                0.0, tv, epsabs=1e-14, epsrel=1e-11, limit=400)
-            return val
-        out = np.vectorize(one)(arr)
+    out = law.kappa_lo * (antider(t) - antider(1.0))
     return out if np.ndim(theta) else float(out)
 
 

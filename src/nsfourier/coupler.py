@@ -60,24 +60,25 @@ def initial_state(config: RunConfig, grid: Grid, basis: StreamBasis) -> FluidSta
 class Step:
     """One converged time step: the new state, its velocity, the
     dissipation field 2 mu(theta_old)|D(u_new)|^2 the temperature step
-    was fed, and the relative coefficient change of each Picard sweep."""
+    was fed (None for the initial state), and the relative coefficient
+    change of each Picard sweep."""
     state: FluidState
     u_new: VectorField
-    diss: ScalarField
+    diss: ScalarField | None
     sweeps: tuple[float, ...]
 
 
-def fixed_point_step(state: FluidState, config: RunConfig,
-                     basis: StreamBasis, dt: float,
-                     factor: JacobianFactor | None = None) -> Step:
-    """One converged time step of size dt.  `factor` is handed to
-    `step_temperature`."""
+def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
+                     dt: float, factor: JacobianFactor | None = None) -> Step:
+    """One converged time step of size dt from `prev.state`, whose
+    velocity is `prev.u_new`.  `factor` is handed to `step_temperature`."""
+    state = prev.state
     laws = config.laws()
     mu_old = state.viscosity(laws)
 
     # coeffs_k is state.coeffs on the first sweep, so its velocity is the
     # transport velocity u_old of the advection matrix
-    u_k = reconstruct_velocity(basis, state.coeffs)
+    u_k = prev.u_new
     system = momentum_system(state.coeffs, state.rho, mu_old, basis, dt,
                              config.eps, u_k)
     coeffs_k = state.coeffs
@@ -111,18 +112,17 @@ def fixed_point_step(state: FluidState, config: RunConfig,
     return Step(state=new, u_new=u_new, diss=diss, sweeps=tuple(sweeps))
 
 
-def _advance(state: FluidState, config: RunConfig, basis: StreamBasis,
+def _advance(prev: Step, config: RunConfig, basis: StreamBasis,
              dt: float, factor: JacobianFactor, depth: int = 0) -> list:
     """Advance by dt, halving on failure; returns the substeps' `Step`s."""
     try:
-        return [fixed_point_step(state, config, basis, dt, factor=factor)]
-    except (StepError, SolverError) as exc:
-        if depth >= MAX_DT_HALVINGS or not isinstance(exc, StepError):
+        return [fixed_point_step(prev, config, basis, dt, factor=factor)]
+    except StepError:
+        if depth >= MAX_DT_HALVINGS:
             raise
         half = 0.5 * dt
-        first = _advance(state, config, basis, half, factor, depth + 1)
-        second = _advance(first[-1].state, config, basis, half, factor,
-                          depth + 1)
+        first = _advance(prev, config, basis, half, factor, depth + 1)
+        second = _advance(first[-1], config, basis, half, factor, depth + 1)
         return first + second
 
 
@@ -168,8 +168,10 @@ def run_simulation(config: RunConfig) -> Trajectory:
     traj = Trajectory(grid=grid, basis=basis, laws=laws,
                       eps=config.eps, delta=config.delta)
     state = initial_state(config, grid, basis)
+    step = Step(state=state, u_new=state.velocity(basis), diss=None,
+                sweeps=())
     traj.append(state)
-    traj.records.append(_record(traj, None, state.velocity(basis), None))
+    traj.records.append(_record(traj, None, step.u_new, None))
 
     factor = JacobianFactor()
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
@@ -177,8 +179,10 @@ def run_simulation(config: RunConfig) -> Trajectory:
     while state.t < config.t_final - 1e-12 * max(config.t_final, 1.0):
         dt = min(config.dt, config.t_final - state.t)
         try:
-            steps = _advance(state, config, basis, dt, factor)
-        except SolverError as exc:
+            steps = _advance(step, config, basis, dt, factor)
+        except (SolverError, ValueError) as exc:
+            # a ValueError here comes from inside the time loop (the config
+            # was validated above), so it is a run failure like any other
             raise RunError(f"step from t = {state.t!r} failed: {exc}",
                            partial_trajectory=traj) from exc
         for step in steps:
@@ -194,8 +198,9 @@ def run_simulation(config: RunConfig) -> Trajectory:
                     f"energy inequality violated at t = {state.t!r} "
                     f"(slack {traj.records[-1].energy_slack!r})",
                     partial_trajectory=traj)
-        # free the last step's fields before the next (+0.3 MB peak RSS)
-        del steps, step
+        # free the other substeps' fields before the next step; the last
+        # one's velocity is the next step's u_old
+        del steps
     return traj
 
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -163,10 +161,6 @@ def grad_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _d_axis(values, grid.hx, 0), _d_axis(values, grid.hy, 1)
 
 
-def norm_L2(f: ScalarField) -> float:
-    return float(np.sqrt(max(integrate_values(f.grid, f.values ** 2), 0.0)))
-
-
 def h1_sq_values(grid: Grid, values: np.ndarray) -> float:
     """int values^2 + |grad values|^2, the squared H1 norm."""
     gx, gy = grad_values(grid, values)
@@ -175,32 +169,6 @@ def h1_sq_values(grid: Grid, values: np.ndarray) -> float:
 
 def norm_H1(f: ScalarField) -> float:
     return float(np.sqrt(max(h1_sq_values(f.grid, f.values), 0.0)))
-
-
-def poincare_check(v: ScalarField, rho: ScalarField, M1: float, M2: float,
-                   gamma_exp: float) -> dict:
-    """Empirical constant in the weighted Poincare inequality
-    ||v||_H1 <= C (||grad v||_L2 + int rho |v|).
-
-    Diagnostic only: returns the constant realized by this particular pair.
-    """
-    if gamma_exp <= 6.0 / 5.0:
-        raise ValueError("gamma_exp must exceed 6/5")
-    if np.any(rho.values < 0):
-        raise ValueError("rho must be non-negative")
-    mass = integrate(rho)
-    if not (0.0 < M1 <= mass):
-        raise ValueError(f"need 0 < M1 <= mass, got M1={M1}, mass={mass}")
-    moment = integrate_values(rho.grid, rho.values ** gamma_exp)
-    if moment > M2:
-        raise ValueError(f"int rho^gamma = {moment} exceeds M2 = {M2}")
-    gx, gy = grad_values(v.grid, v.values)
-    grad_norm = np.sqrt(max(integrate_values(v.grid, gx ** 2 + gy ** 2), 0.0))
-    weighted = integrate_values(v.grid, rho.values * np.abs(v.values))
-    denom = grad_norm + weighted
-    if denom == 0.0:
-        raise DegenerateInputError("v vanishes identically; Poincare quotient undefined")
-    return {"constant": norm_H1(v) / denom}
 
 
 def write_snapshot(path, f: ScalarField, time: float, name: str) -> None:

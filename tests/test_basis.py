@@ -3,8 +3,7 @@ import pytest
 
 from nsfourier.basis import (assemble_advection_matrix, assemble_viscous,
                              assemble_weighted_gram, build_basis,
-                             mode_wavenumbers, project_initial,
-                             reconstruct_velocity)
+                             mode_wavenumbers, reconstruct_velocity)
 from nsfourier.errors import ResolutionError
 from nsfourier.grid import Grid, ScalarField, integrate_values
 
@@ -131,38 +130,6 @@ def test_advection_matrix_exactly_skew(basis):
     u = reconstruct_velocity(basis, rng.standard_normal(basis.n_modes))
     B = assemble_advection_matrix(basis, rho, u)
     assert np.array_equal(B, -B.T)
-
-
-def test_project_initial_zero(basis):
-    grid = basis.grid
-    rho0 = ScalarField.constant(grid, 1.0)
-    from nsfourier.grid import VectorField
-    c = project_initial(basis, rho0, VectorField.zero(grid))
-    assert np.allclose(c, 0.0, atol=1e-14)
-
-
-def test_project_initial_exact_mode(basis):
-    grid = basis.grid
-    rho0 = ScalarField.constant(grid, 1.3)
-    from nsfourier.grid import VectorField
-    m0 = VectorField(grid, rho0.values * basis.eta[1, 0],
-                     rho0.values * basis.eta[1, 1])
-    c = project_initial(basis, rho0, m0)
-    expected = np.zeros(basis.n_modes)
-    expected[1] = 1.0
-    assert np.max(np.abs(c - expected)) <= 1e-10
-
-
-def test_project_initial_round_trip(basis):
-    grid = basis.grid
-    rng = np.random.default_rng(7)
-    rho0 = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
-    a = rng.standard_normal(basis.n_modes)
-    u = reconstruct_velocity(basis, a)
-    from nsfourier.grid import VectorField
-    m0 = VectorField(grid, rho0.values * u.u, rho0.values * u.v)
-    c = project_initial(basis, rho0, m0)
-    assert np.max(np.abs(c - a)) <= 1e-8
 
 
 # Direct einsum forms of the Galerkin integrals, kept here as an oracle

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
-from nsfourier import cli
+import nsfourier
+from nsfourier import cli, coupler
 from nsfourier.cli import main
 from nsfourier.config import RunConfig, parse_config, serialize_config
 from nsfourier.errors import ConfigError
@@ -90,6 +93,19 @@ def test_run_reports_a_missing_config_file(tmp_path, capsys):
     assert err.startswith("error: parse: ")
     assert "No such file or directory" in err
     assert str(missing) in err
+
+
+def test_run_reports_a_value_error_in_a_step_as_a_run_error(
+        config_path, tmp_path, capsys, monkeypatch):
+    # parse_config has validated the config; a ValueError raised inside the
+    # time loop is a run failure, not a parse error
+    def failing_step(*args, **kwargs):
+        raise ValueError("need eps > 0 where mu vanishes")
+
+    monkeypatch.setattr(coupler, "fixed_point_step", failing_step)
+    code = main(["run", config_path, "--output-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: run: step from t = 0.0")
 
 
 def test_run_halves_dt_past_cfl_cap(tmp_path, capsys):
@@ -213,3 +229,36 @@ def test_lemma62_bad_params(capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: parse:")
 
+
+IMPORT_GUARD = """
+import sys
+from nsfourier import cli
+from nsfourier.coefficients import RenormFunction
+from nsfourier.config import parse_config
+from nsfourier.coupler import run_simulation
+from nsfourier.degiorgi import ladder_run
+from nsfourier.diagnostics import SeparableTestFunction, renorm_report
+
+config_path, out = sys.argv[1:3]
+assert cli.main(["run", config_path, "--output-dir", out]) == 0
+traj = run_simulation(parse_config(config_path))
+phi = SeparableTestFunction(traj.grid, traj.final.t)
+renorm_report(traj, RenormFunction.power(1.0), phi, traj.delta, traj.laws)
+ladder_run(traj, theta_floor=0.1, k_max=4, omega=0.0)
+print("loaded = " + " ".join(
+    m for m in ("scipy.integrate", "scipy.optimize", "scipy.special")
+    if m in sys.modules))
+"""
+
+
+def test_run_and_verifiers_import_no_quadrature_or_root_finding(config_path,
+                                                               tmp_path):
+    # the coefficient layer is closed-form only; importing these SciPy
+    # subpackages would add their load time to every `nsfourier run`
+    src = os.path.dirname(os.path.dirname(nsfourier.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, config_path, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded = "

@@ -115,6 +115,23 @@ def test_kirchhoff_round_trip(canonical, theta):
         == pytest.approx(theta, abs=1e-8)
 
 
+def test_transforms_without_closed_form_raise(canonical):
+    tabulated = ConductivityLaw(kappa_lo=0.1, kappa_hi=10.0, form="tabulated",
+                                theta_samples=(0.0, 1.0, 3.0),
+                                kappa_samples=(1.0, 2.5, 8.0))
+    custom = RenormFunction.from_callables(lambda z: 1.0 / (1.0 + np.asarray(z)))
+    with pytest.raises(CapabilityError):
+        kirchhoff_K_inverse(tabulated, 1.0)
+    with pytest.raises(CapabilityError):
+        eval_H(custom, 1.0)
+    with pytest.raises(CapabilityError):
+        eval_K_h(custom, canonical, 1.0)
+    with pytest.raises(CapabilityError):
+        eval_K_h(RenormFunction.power(1.0), tabulated, 1.0)
+    with pytest.raises(CapabilityError):
+        eval_K_h(RenormFunction.truncated_log(0.5, 5.0), canonical, 1.0)
+
+
 def test_kirchhoff_tabulated_matches_quadrature():
     law = ConductivityLaw(kappa_lo=0.1, kappa_hi=10.0, form="tabulated",
                           theta_samples=(0.0, 1.0, 3.0),

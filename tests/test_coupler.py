@@ -7,7 +7,7 @@ import nsfourier.momentum as momentum
 import nsfourier.state as state_module
 from nsfourier.basis import build_basis
 from nsfourier.config import RunConfig
-from nsfourier.coupler import (build_grid, continuation_sweep,
+from nsfourier.coupler import (Step, build_grid, continuation_sweep,
                                fixed_point_step, initial_state,
                                run_simulation)
 from nsfourier.diagnostics import check_energy_inequality, diagnostics_csv_text
@@ -23,13 +23,21 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
-def test_equilibrium_is_fixed_point():
-    config = small_config(delta=0.0, theta_amp=0.0, m0_amplitude=0.0,
-                          rho_amp=0.0)
+def initial_step(config):
+    """The basis and the initial `Step` a run starts from."""
     grid = build_grid(config)
     basis = build_basis(grid, config.n_modes)
     state = initial_state(config, grid, basis)
-    step = fixed_point_step(state, config, basis, config.dt)
+    return basis, Step(state=state, u_new=state.velocity(basis), diss=None,
+                       sweeps=())
+
+
+def test_equilibrium_is_fixed_point():
+    config = small_config(delta=0.0, theta_amp=0.0, m0_amplitude=0.0,
+                          rho_amp=0.0)
+    basis, prev = initial_step(config)
+    state = prev.state
+    step = fixed_point_step(prev, config, basis, config.dt)
     out = step.state
     assert len(step.sweeps) == 1
     assert np.array_equal(out.coeffs, state.coeffs)
@@ -39,10 +47,8 @@ def test_equilibrium_is_fixed_point():
 
 def test_picard_contraction():
     config = small_config(dt=0.005, m0_amplitude=0.05, picard_tol=1e-12)
-    grid = build_grid(config)
-    basis = build_basis(grid, config.n_modes)
-    state = initial_state(config, grid, basis)
-    history = fixed_point_step(state, config, basis, config.dt).sweeps
+    basis, prev = initial_step(config)
+    history = fixed_point_step(prev, config, basis, config.dt).sweeps
     assert len(history) >= 2
     for a, b in zip(history[1:], history[2:]):
         assert b < a
@@ -52,9 +58,7 @@ def test_momentum_invariants_assembled_once_per_step(monkeypatch):
     import nsfourier.momentum as momentum
 
     config = small_config(dt=0.005, m0_amplitude=0.05, picard_tol=1e-12)
-    grid = build_grid(config)
-    basis = build_basis(grid, config.n_modes)
-    state = initial_state(config, grid, basis)
+    basis, prev = initial_step(config)
     calls = {}
     for name in ("assemble_weighted_gram", "assemble_viscous",
                  "assemble_advection_matrix"):
@@ -62,7 +66,7 @@ def test_momentum_invariants_assembled_once_per_step(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(momentum, name, counted)
-    sweeps = len(fixed_point_step(state, config, basis, config.dt).sweeps)
+    sweeps = len(fixed_point_step(prev, config, basis, config.dt).sweeps)
     assert sweeps >= 2
     assert calls == {"assemble_weighted_gram": sweeps + 1,
                      "assemble_viscous": 1, "assemble_advection_matrix": 1}
@@ -110,9 +114,9 @@ def test_run_builds_each_velocity_once_per_sweep(monkeypatch):
     calls = count_reconstructions(monkeypatch)
     traj = run_simulation(small_config(dt=0.005, m0_amplitude=0.05))
     assert len(steps) == len(traj.states) - 1 == 10
-    # u_old and one velocity per later sweep and u_new per step, plus the
-    # initial state's for its record
-    assert len(calls) == sum(len(s.sweeps) + 1 for s in steps) + 1
+    # one velocity per later sweep and u_new per step, plus the initial
+    # state's; each step's u_old is the previous step's u_new
+    assert len(calls) == sum(len(s.sweeps) for s in steps) + 1
     assert sum(len(s.sweeps) for s in steps) > len(steps)
 
 
@@ -193,6 +197,21 @@ def test_retry_exhaustion_yields_partial_trajectory():
     assert len(partial.states) >= 1
 
 
+def fail_in_the_time_loop(monkeypatch):
+    """Make every step raise the ValueError a degenerate state raises."""
+    def failing_step(*args, **kwargs):
+        raise ValueError("need eps > 0 where mu vanishes")
+
+    monkeypatch.setattr(coupler, "fixed_point_step", failing_step)
+
+
+def test_value_error_in_a_step_is_a_run_error(monkeypatch):
+    fail_in_the_time_loop(monkeypatch)
+    with pytest.raises(RunError, match="need eps > 0") as err:
+        run_simulation(small_config())
+    assert len(err.value.partial_trajectory.states) == 1
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         run_simulation(small_config(delta=1.5))
@@ -226,3 +245,11 @@ def test_sweep_partial_report_on_failure():
     report = continuation_sweep(config, [(6, 1e-3, 1e-2), (6, 5e-4, 1e-2)])
     assert report["completed"] == 0
     assert report["error"] is not None
+
+
+def test_sweep_truncates_on_a_value_error_in_a_step(monkeypatch):
+    fail_in_the_time_loop(monkeypatch)
+    config = small_config()
+    report = continuation_sweep(config, [(6, 1e-3, 1e-2), (6, 5e-4, 1e-2)])
+    assert report["completed"] == 0
+    assert "need eps > 0" in report["error"]

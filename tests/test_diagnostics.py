@@ -9,6 +9,7 @@ from nsfourier.diagnostics import (CSV_COLUMNS, SeparableTestFunction,
                                    apriori_monitor, check_energy_inequality,
                                    diagnostics_csv_text, energy_report,
                                    renorm_report)
+from nsfourier.errors import CapabilityError
 from nsfourier.grid import Grid, ScalarField
 from nsfourier.state import FluidState, Trajectory
 
@@ -127,26 +128,26 @@ def test_renorm_rejects_inadmissible_h(small_run):
 
 
 def test_renorm_flat_h_on_equilibrium():
-    # h constant on the attained range, decaying beyond it: every term with
-    # h' vanishes and the time-boundary terms cancel against the data term
+    # on the constant-theta state grad theta = 0, so every term with h'
+    # vanishes and the time-boundary terms cancel against the data term
     traj = make_static_trajectory(theta=0.5)
-
-    def h(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= 0.6, 1.0, 1.0 / (z + 0.4))
-
-    def dh(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= 0.6, 0.0, -1.0 / (z + 0.4) ** 2)
-
-    def d2h(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= 0.6, 0.0, 2.0 / (z + 0.4) ** 3)
-
-    flat = RenormFunction.from_callables(h, dh, d2h, name="flat-then-decay")
     phi = SeparableTestFunction(traj.grid, traj.final.t, amp=0.4)
-    rep = renorm_report(traj, flat, phi, traj.delta, traj.laws)
-    assert abs(rep["residual"]) <= 1e-10 * rep["scale"]
+    for l in (1.0, 0.5):
+        rep = renorm_report(traj, RenormFunction.power(l), phi, traj.delta,
+                            traj.laws)
+        assert abs(rep["residual"]) <= 1e-10 * rep["scale"]
+
+
+def test_renorm_rejects_h_without_closed_form_transforms():
+    # admissible, but H and K_h of a custom h have no closed form
+    traj = make_static_trajectory(theta=0.5)
+    custom = RenormFunction.from_callables(
+        h=lambda z: 1.0 / (1.0 + np.asarray(z, dtype=float)),
+        dh=lambda z: -1.0 / (1.0 + np.asarray(z, dtype=float)) ** 2,
+        d2h=lambda z: 2.0 / (1.0 + np.asarray(z, dtype=float)) ** 3)
+    phi = SeparableTestFunction(traj.grid, traj.final.t, amp=0.4)
+    with pytest.raises(CapabilityError):
+        renorm_report(traj, custom, phi, traj.delta, traj.laws)
 
 
 def test_renorm_residual_within_tolerance(small_run):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from nsfourier.errors import DegenerateInputError
 from nsfourier.grid import (Grid, ScalarField, grad_values, integrate,
-                            norm_H1, norm_L2, poincare_check, read_snapshot,
-                            write_snapshot)
+                            norm_H1, read_snapshot, write_snapshot)
 
 
 @pytest.fixture
@@ -56,47 +54,7 @@ def test_grad_of_constant_vanishes(unit_grid):
 
 def test_norms_of_constant(unit_grid):
     f = ScalarField.constant(unit_grid, -2.0)
-    assert norm_L2(f) == pytest.approx(2.0, rel=1e-13)
     assert norm_H1(f) == pytest.approx(2.0, rel=1e-13)
-
-
-def test_norm_of_sine_profile():
-    grid = Grid(nx=128, ny=128)
-    f = ScalarField.from_function(grid, lambda x, y: np.sin(np.pi * x))
-    assert norm_L2(f) == pytest.approx(np.sqrt(0.5), rel=1e-3)
-
-
-def test_poincare_constant_field(unit_grid):
-    c = 3.0
-    M1 = 0.25
-    v = ScalarField.constant(unit_grid, c)
-    rho = ScalarField.constant(unit_grid, M1)
-    report = poincare_check(v, rho, M1, 10.0, 1.5)
-    assert report["constant"] == pytest.approx(1.0 / M1, rel=1e-12)
-
-
-def test_poincare_zero_field_degenerate(unit_grid):
-    v = ScalarField.constant(unit_grid, 0.0)
-    rho = ScalarField.constant(unit_grid, 1.0)
-    with pytest.raises(DegenerateInputError):
-        poincare_check(v, rho, 0.5, 10.0, 1.5)
-
-
-def test_poincare_ensemble_stable_under_refinement():
-    constants = []
-    for n in (32, 64):
-        grid = Grid(nx=n, ny=n)
-        rho = ScalarField.constant(grid, 1.0)
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(5):
-            a, b = rng.uniform(-1, 1, size=2)
-            v = ScalarField.from_function(
-                grid, lambda x, y: a + b * np.cos(np.pi * x) * np.cos(np.pi * y))
-            worst = max(worst,
-                        poincare_check(v, rho, 0.5, 10.0, 1.5)["constant"])
-        constants.append(worst)
-    assert constants[1] <= 1.5 * constants[0]
 
 
 def test_snapshot_round_trip(tmp_path, unit_grid):
