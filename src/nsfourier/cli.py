@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 configuration parse error, 3 run error,
 4 certificate failure.  Every failure also prints one machine-parsable
-line `error: <kind>: <message>` on stderr.
+line `error: <kind>: <message>` on stderr.  `main` decides the failure
+codes for every subcommand: a ConfigError or ValueError exits 2 with
+`error: parse:`, any other SolverError exits 3 with `error: run:`.  A
+subcommand returns only 0 or 4 itself.
 """
 
 from __future__ import annotations
@@ -10,14 +13,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .coefficients import RenormFunction, check_h_admissible
-from .config import parse_config
+from .config import parse_config, read_text
 from .coupler import continuation_sweep, run_simulation, schedule_config
 from .degiorgi import (Lemma62Params, build_ladder, certificate_text,
                        ladder_run, lemma62_iterate, lemma62_threshold)
 from .diagnostics import write_diagnostics_csv
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, RunError, SolverError
 from .grid import write_snapshot
 
 OUTPUT_DIR_ENV = "NSFOURIER_OUTPUT_DIR"
@@ -39,29 +43,15 @@ def _output_dir(args) -> str:
     return out
 
 
-def _read_text(path: str) -> str:
-    """The file's text; an OS error becomes a ConfigError."""
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError([str(exc)]) from exc
-
-
 def _load_config(path: str):
-    return parse_config(_read_text(path))
+    # a Path is always read as a file, never taken for config text
+    return parse_config(Path(path))
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        return _fail("parse", "; ".join(exc.problems), EXIT_PARSE)
+    config = _load_config(args.config)
     out = _output_dir(args)
-    try:
-        traj = run_simulation(config)
-    except SolverError as exc:
-        return _fail("run", str(exc), EXIT_RUN)
+    traj = run_simulation(config)
     write_diagnostics_csv(traj.records, os.path.join(out, "diagnostics.csv"))
     for i, state in enumerate(traj.states):
         if i % config.output_every == 0 or i == len(traj.states) - 1:
@@ -85,7 +75,7 @@ def _parse_schedule(path: str, config):
     give a valid config when applied to `config`."""
     entries = []
     problems = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -109,11 +99,8 @@ def _parse_schedule(path: str, config):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = _load_config(args.config)
-        schedule = _parse_schedule(args.schedule, config)
-    except ConfigError as exc:
-        return _fail("parse", "; ".join(exc.problems), EXIT_PARSE)
+    config = _load_config(args.config)
+    schedule = _parse_schedule(args.schedule, config)
     out = _output_dir(args)
     report = continuation_sweep(config, schedule)
     lines = ["[sweep-report]", f"completed = {report['completed']}"]
@@ -131,23 +118,15 @@ def cmd_sweep(args) -> int:
         fh.write(text)
     print(text, end="")
     if report["error"]:
-        return _fail("run", report["error"], EXIT_RUN)
+        raise RunError(report["error"])
     return EXIT_OK
 
 
 def cmd_degiorgi(args) -> int:
-    try:
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        return _fail("parse", "; ".join(exc.problems), EXIT_PARSE)
-    try:
-        build_ladder(config.theta_floor, args.kmax, args.omega, args.M)
-    except ValueError as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
-    try:
-        traj = run_simulation(config)
-    except SolverError as exc:
-        return _fail("run", str(exc), EXIT_RUN)
+    config = _load_config(args.config)
+    # check the ladder arguments before the run
+    build_ladder(config.theta_floor, args.kmax, args.omega, args.M)
+    traj = run_simulation(config)
     cert = ladder_run(traj, theta_floor=config.theta_floor, k_max=args.kmax,
                       omega=args.omega, M=args.M)
     print(certificate_text(cert), end="")
@@ -158,14 +137,11 @@ def cmd_degiorgi(args) -> int:
 
 
 def cmd_check_h(args) -> int:
-    try:
-        if args.form == "power":
-            h = RenormFunction.power(args.l)
-        else:
-            h = RenormFunction.truncated_log(args.omega, args.cutoff)
-        report = check_h_admissible(h, args.zmax, args.samples)
-    except (ValueError, SolverError) as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
+    if args.form == "power":
+        h = RenormFunction.power(args.l)
+    else:
+        h = RenormFunction.truncated_log(args.omega, args.cutoff)
+    report = check_h_admissible(h, args.zmax, args.samples)
     print("[admissibility]")
     print(f"form = {args.form}")
     print(f"passes = {str(report['passes']).lower()}")
@@ -175,18 +151,14 @@ def cmd_check_h(args) -> int:
 
 
 def cmd_lemma62(args) -> int:
-    try:
-        if args.threshold:
-            K0 = lemma62_threshold(args.C, args.A, args.beta1, args.beta2,
-                                   args.U0)
-            print("[lemma62-threshold]")
-            print(f"K0 = {K0!r}")
-            return EXIT_OK
-        p = Lemma62Params(C=args.C, A=args.A, beta1=args.beta1,
-                          beta2=args.beta2, K=args.K, U0=args.U0)
-        result = lemma62_iterate(p, args.steps)
-    except ValueError as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
+    if args.threshold:
+        K0 = lemma62_threshold(args.C, args.A, args.beta1, args.beta2, args.U0)
+        print("[lemma62-threshold]")
+        print(f"K0 = {K0!r}")
+        return EXIT_OK
+    p = Lemma62Params(C=args.C, A=args.A, beta1=args.beta1,
+                      beta2=args.beta2, K=args.K, U0=args.U0)
+    result = lemma62_iterate(p, args.steps)
     print("[lemma62-iteration]")
     print("U = " + " ".join(repr(u) for u in result["sequence"]))
     print(f"converged = {str(result['converged']).lower()}")
@@ -244,7 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, ValueError) as exc:
+        return _fail("parse", str(exc), EXIT_PARSE)
+    except SolverError as exc:
+        return _fail("run", str(exc), EXIT_RUN)
 
 
 if __name__ == "__main__":

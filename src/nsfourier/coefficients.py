@@ -122,28 +122,22 @@ def kirchhoff_K_inverse(law: ConductivityLaw, y):
 class ViscosityLaw:
     """Lipschitz viscosity, degenerate at theta = 0, positive plateau.
 
-    Canonical law: mu(theta) = min(slope * theta, mu_infinity) with the
-    plateau reached at theta_bar.
+    Canonical law: mu(theta) = min(slope * theta, slope * theta_bar),
+    the plateau reached at theta_bar.
     """
 
     slope: float
     theta_bar: float
-    mu_infinity: float | None = None
 
     def __post_init__(self):
         if self.slope <= 0 or self.theta_bar <= 0:
             raise ValueError("slope and theta_bar must be positive")
-        if self.mu_infinity is None:
-            object.__setattr__(self, "mu_infinity", self.slope * self.theta_bar)
-        if self.mu_infinity < self.slope * self.theta_bar:
-            raise ValueError("plateau below slope*theta_bar breaks the "
-                             "low-temperature bound mu >= slope*theta")
 
 
 def eval_viscosity(law: ViscosityLaw, theta):
     """mu(theta); vanishes at theta = 0, plateau for theta >= theta_bar."""
     arr = _require_nonneg(theta)
-    out = np.minimum(law.slope * arr, law.mu_infinity)
+    out = np.minimum(law.slope * arr, law.slope * law.theta_bar)
     return out if np.ndim(theta) else float(out)
 
 
@@ -191,10 +185,10 @@ class RenormFunction:
         )
 
     @classmethod
-    def from_callables(cls, h, dh=None, d2h=None, name="custom") -> "RenormFunction":
+    def from_callables(cls, h, dh=None, d2h=None) -> "RenormFunction":
         """A custom h for `check_h_admissible`; H and K_h, and with them
         the renormalized inequality, exist only for the built-in families."""
-        return cls(form=name, h=h, dh=dh, d2h=d2h)
+        return cls(form="custom", h=h, dh=dh, d2h=d2h)
 
 
 def eval_H(h: RenormFunction, theta):

@@ -135,16 +135,20 @@ def _names_a_file(source) -> bool:
         bool(line) and "=" not in line and not line.startswith("["))
 
 
+def read_text(path) -> str:
+    """The file's text; an OS error becomes a ConfigError carrying the OS
+    message."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
 def parse_config(source) -> RunConfig:
     """Parse a config from a file path or from literal config text; an
     unreadable file is a ConfigError carrying the OS message."""
-    text = source
-    if _names_a_file(source):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError([str(exc)]) from exc
+    text = read_text(source) if _names_a_file(source) else source
 
     problems: list[str] = []
     values: dict[str, object] = {}

@@ -34,6 +34,8 @@ from .thermal import JacobianFactor, dissipation_field, step_temperature
 from .transport import advect_density
 
 MAX_DT_HALVINGS = 5
+# time samples of the sweep's space-time differences
+DIFFERENCE_SAMPLES = 33
 
 
 def build_grid(config: RunConfig) -> Grid:
@@ -144,18 +146,10 @@ def _record(traj: Trajectory, prev_record: DiagnosticsRecord | None,
         slack = energy_slack(
             rep["kinetic_energy"] + rep["thermal_energy"],
             prev_record.kinetic_energy + prev_record.thermal_energy, sinks)
-    return DiagnosticsRecord(
-        time=state.t,
-        kinetic_energy=rep["kinetic_energy"],
-        thermal_energy=rep["thermal_energy"],
-        cum_dissipation=cum_diss,
-        cum_eps_dissipation=cum_eps,
-        cum_sink=cum_sink,
-        rho_min=rep["rho_min"], rho_max=rep["rho_max"],
-        theta_min=rep["theta_min"], theta_max=rep["theta_max"],
-        u_H1=rep["u_H1"], theta_H1=rep["theta_H1"],
-        theta_L3=rep["theta_L3"], energy_slack=slack,
-    )
+    # energy_report's keys are the record's other field names
+    return DiagnosticsRecord(time=state.t, cum_dissipation=cum_diss,
+                             cum_eps_dissipation=cum_eps, cum_sink=cum_sink,
+                             energy_slack=slack, **rep)
 
 
 def run_simulation(config: RunConfig) -> Trajectory:
@@ -204,8 +198,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
     return traj
 
 
-def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory,
-                         n_samples: int = 33) -> dict:
+def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory) -> dict:
     """Space-time L2 differences of u and theta on common time samples.
 
     Fields are interpolated linearly in time; basis coefficients of
@@ -215,7 +208,7 @@ def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory,
     if traj_b.grid != grid:
         raise ValueError("trajectories must share a grid")
     T = min(traj_a.final.t, traj_b.final.t)
-    samples = np.linspace(0.0, T, n_samples)
+    samples = np.linspace(0.0, T, DIFFERENCE_SAMPLES)
 
     def at(traj, t):
         times = traj.times
@@ -261,7 +254,7 @@ def continuation_sweep(base_config: RunConfig, schedule) -> dict:
     for entry in schedule:
         try:
             runs.append(run_simulation(schedule_config(base_config, *entry)))
-        except (RunError, SolverError) as exc:
+        except SolverError as exc:
             error = str(exc)
             break
 

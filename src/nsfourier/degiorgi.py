@@ -23,6 +23,9 @@ from .state import Trajectory
 
 LADDER_DECAY_TOL = 1e-6
 LEMMA_CONV_TOL = 1e-12
+# exponents of the diagnostic fit U_k ~ C 2^{k alpha} U_{k-1}^gamma
+FIT_ALPHA = 2.0
+FIT_GAMMA = 1.25
 
 
 @dataclass
@@ -30,8 +33,6 @@ class DeGiorgiLadder:
     M: float
     omega: float = 0.0
     k_max: int = 8
-    alpha: float = 2.0
-    beta: float = 0.5
     levels: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -41,16 +42,8 @@ class DeGiorgiLadder:
             raise ValueError("omega must be non-negative")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
         k = np.arange(self.k_max + 1)
         self.levels = np.exp(-self.M * (1.0 - 0.5 ** k))
-
-    @property
-    def gamma(self) -> float:
-        return min(0.5 * (self.alpha + self.beta), self.alpha)
 
 
 @dataclass
@@ -121,7 +114,7 @@ def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder) -> np.ndarray:
 
 
 def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder, *,
-                 integrals: np.ndarray | None = None) -> float:
+                 integrals: np.ndarray) -> float:
     """Three-term level energy at ladder rung k:
 
         sup_t  int (delta + rho) phi_k
@@ -130,15 +123,12 @@ def level_energy(traj: Trajectory, k: int, ladder: DeGiorgiLadder, *,
 
     with the trajectory's delta and laws and trapezoid time quadrature
     from t = 0 to the final time.
-    `integrals` is `rung_integrals(traj, ladder)`, passed in when
-    several rungs share it; it is built here otherwise.
+    `integrals` is `rung_integrals(traj, ladder)`, shared by all rungs.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
-    if k > ladder.k_max:
-        raise ValueError("k exceeds the ladder length")
-    if integrals is None:
-        integrals = rung_integrals(traj, ladder)
+    if not 0 <= k <= ladder.k_max:
+        raise ValueError(f"rung {k} outside the ladder 0..{ladder.k_max}")
     sup_series, diss_series, grad_series = integrals[k].T
     sup_term = max(0.0, float(np.max(sup_series)))
 
@@ -191,7 +181,7 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
         raise AssertionError(
             f"certificate claims theta >= {lower_bound} but the trajectory "
             f"reaches {observed}")
-    fit_C = _fit_recursion_constant(U, ladder)
+    fit_C = _fit_recursion_constant(U)
     return {
         "M": ladder.M,
         "omega": omega,
@@ -204,14 +194,13 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
     }
 
 
-def _fit_recursion_constant(U, ladder: DeGiorgiLadder):
+def _fit_recursion_constant(U):
     """Least-squares fit of C in U_k ~ C 2^{k alpha} U_{k-1}^gamma over
     the rungs with positive energy; purely diagnostic."""
-    gamma = ladder.gamma
     samples = []
     for k in range(1, len(U)):
         if U[k] > 0 and U[k - 1] > 0:
-            samples.append(U[k] / (2.0 ** (k * ladder.alpha) * U[k - 1] ** gamma))
+            samples.append(U[k] / (2.0 ** (k * FIT_ALPHA) * U[k - 1] ** FIT_GAMMA))
     return float(np.mean(samples)) if samples else None
 
 

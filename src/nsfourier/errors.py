@@ -6,11 +6,10 @@ class SolverError(Exception):
 
 
 class ConfigError(SolverError):
-    """Configuration file is malformed or violates an invariant."""
+    """Configuration file is malformed or violates an invariant; carries
+    the list of problems found."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 

@@ -138,12 +138,8 @@ class VectorField:
         return self.du_dx ** 2 + self.dv_dy ** 2 + 2.0 * d12 ** 2
 
 
-def integrate(f: ScalarField) -> float:
-    """Trapezoid-rule integral over the domain; exact for bilinear fields."""
-    return integrate_values(f.grid, f.values)
-
-
 def integrate_values(grid: Grid, values: np.ndarray) -> float:
+    """Trapezoid-rule integral over the domain; exact for bilinear fields."""
     return float(np.sum(grid.quad_weights() * values))
 
 
@@ -174,16 +170,10 @@ def norm_H1(f: ScalarField) -> float:
 def write_snapshot(path, f: ScalarField, time: float, name: str) -> None:
     """Plain-text snapshot: header lines, then row-major values one per line."""
     g = f.grid
+    header = (f"# nsfourier field snapshot\nnx = {g.nx}\nny = {g.ny}\n"
+              f"Lx = {g.Lx!r}\nLy = {g.Ly!r}\ntime = {time!r}\nname = {name}\n")
     with open(path, "w") as fh:
-        fh.write("# nsfourier field snapshot\n")
-        fh.write(f"nx = {g.nx}\n")
-        fh.write(f"ny = {g.ny}\n")
-        fh.write(f"Lx = {g.Lx!r}\n")
-        fh.write(f"Ly = {g.Ly!r}\n")
-        fh.write(f"time = {time!r}\n")
-        fh.write(f"name = {name}\n")
-        for val in f.values.ravel(order="C"):
-            fh.write(f"{float(val)!r}\n")
+        fh.write(header + "".join(f"{val!r}\n" for val in f.values.ravel().tolist()))
 
 
 def read_snapshot(path) -> tuple[ScalarField, float, str]:

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import nsfourier
 from nsfourier import cli, coupler
 from nsfourier.cli import main
 from nsfourier.config import RunConfig, parse_config, serialize_config
-from nsfourier.errors import ConfigError
+from nsfourier.errors import ConfigError, RunError
 
 
 @pytest.fixture
@@ -52,7 +53,8 @@ def test_parse_rejects_zero_theta_floor():
 
 
 def test_parse_config_reads_a_path(config_path, tmp_path):
-    assert parse_config(config_path) == parse_config(open(config_path).read())
+    assert parse_config(config_path) == parse_config(
+        pathlib.Path(config_path).read_text())
     assert parse_config(tmp_path / "run.cfg") == parse_config(config_path)
 
 
@@ -93,6 +95,15 @@ def test_run_reports_a_missing_config_file(tmp_path, capsys):
     assert err.startswith("error: parse: ")
     assert "No such file or directory" in err
     assert str(missing) in err
+
+
+def test_run_reads_a_one_line_config_file_as_config_text(tmp_path, capsys):
+    # the file's text is parsed, never taken for the name of another file
+    bad = tmp_path / "one_line.cfg"
+    bad.write_text("garbage\n")
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: parse: line 1: expected 'key = value', got 'garbage'\n")
 
 
 def test_run_reports_a_value_error_in_a_step_as_a_run_error(
@@ -188,6 +199,25 @@ def test_sweep_rejects_an_invalid_schedule_entry_before_any_run(
     assert not (tmp_path / "sweep_report.txt").exists()
 
 
+def test_sweep_exits_3_after_reporting_a_failed_run(config_path, tmp_path,
+                                                    capsys, monkeypatch):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("6 1e-2 1e-2\n")
+
+    def failing_run(config):
+        raise RunError("step from t = 0.0 failed")
+
+    monkeypatch.setattr(coupler, "run_simulation", failing_run)
+    code = main(["sweep", config_path, "--schedule", str(schedule),
+                 "--output-dir", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "completed = 0" in captured.out
+    assert "aborted = step from t = 0.0 failed" in captured.out
+    assert captured.err == "error: run: step from t = 0.0 failed\n"
+    assert (tmp_path / "sweep_report.txt").exists()
+
+
 def test_sweep_reports_a_missing_schedule_file(config_path, tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     code = main(["sweep", config_path, "--schedule", str(missing),
@@ -228,6 +258,44 @@ def test_lemma62_bad_params(capsys):
                  "--beta2", "3", "--K", "1", "--U0", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: parse:")
+
+
+LEMMA62_ARGS = ["--C", "1", "--A", "2", "--beta1", "2", "--beta2", "3",
+                "--U0", "1"]
+
+
+@pytest.mark.parametrize("command, target", [
+    ("run", "run_simulation"),
+    ("sweep", "continuation_sweep"),
+    ("degiorgi", "run_simulation"),
+    ("check-h", "check_h_admissible"),
+    ("lemma62", "lemma62_iterate"),
+])
+@pytest.mark.parametrize("error, code, line", [
+    (ConfigError(["bad key", "bad value"]), 2,
+     "error: parse: bad key; bad value\n"),
+    (ValueError("out of range"), 2, "error: parse: out of range\n"),
+    (RunError("step failed"), 3, "error: run: step failed\n"),
+], ids=["ConfigError", "ValueError", "RunError"])
+def test_main_decides_the_exit_code(config_path, tmp_path, capsys,
+                                    monkeypatch, command, target, error, code,
+                                    line):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, failing)
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("6 1e-2 1e-2\n")
+    argv = {
+        "run": ["run", config_path, "--output-dir", str(tmp_path)],
+        "sweep": ["sweep", config_path, "--schedule", str(schedule),
+                  "--output-dir", str(tmp_path)],
+        "degiorgi": ["degiorgi", config_path],
+        "check-h": ["check-h", "--form", "power"],
+        "lemma62": ["lemma62"] + LEMMA62_ARGS,
+    }[command]
+    assert main(argv) == code
+    assert capsys.readouterr().err == line
 
 
 IMPORT_GUARD = """

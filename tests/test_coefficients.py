@@ -52,11 +52,6 @@ def test_viscosity_lipschitz(a, b):
         <= law.slope * abs(a - b) + 1e-12
 
 
-def test_viscosity_plateau_below_kink_rejected():
-    with pytest.raises(ValueError):
-        ViscosityLaw(slope=1.0, theta_bar=2.0, mu_infinity=1.0)
-
-
 def test_conductivity_at_zero(canonical):
     assert eval_conductivity(canonical, 0.0) == 1.0
 

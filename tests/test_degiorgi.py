@@ -6,8 +6,8 @@ from nsfourier.config import Laws
 from nsfourier.coefficients import ConductivityLaw, ViscosityLaw
 from nsfourier.degiorgi import (DeGiorgiLadder, Lemma62Params, ladder_run,
                                 lemma62_iterate, lemma62_threshold,
-                                level_energy, truncation_phi,
-                                certificate_text)
+                                level_energy, rung_integrals,
+                                truncation_phi, certificate_text)
 from nsfourier.errors import DegenerateInputError
 from nsfourier.grid import Grid, ScalarField
 from nsfourier.state import FluidState, Trajectory
@@ -59,19 +59,9 @@ def test_ladder_levels_consistency():
         assert ratio == pytest.approx(3.0 * 2.0 ** (-k), rel=1e-12)
 
 
-def test_ladder_gamma_and_floor():
-    ladder = DeGiorgiLadder(M=4.0)
-    assert ladder.gamma == pytest.approx(1.25)
-    assert ladder.gamma > 1.0
-
-
 def test_ladder_invalid_params():
     with pytest.raises(ValueError):
         DeGiorgiLadder(M=0.0)
-    with pytest.raises(ValueError):
-        DeGiorgiLadder(M=1.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        DeGiorgiLadder(M=1.0, beta=1.0)
 
 
 def test_level_energy_constant_state_hand_value():
@@ -79,7 +69,7 @@ def test_level_energy_constant_state_hand_value():
     delta = 0.1
     traj = make_trajectory(c, delta=delta)
     ladder = DeGiorgiLadder(M=2.0, omega=0.05, k_max=4)
-    U0 = level_energy(traj, 0, ladder)
+    U0 = level_energy(traj, 0, ladder, integrals=rung_integrals(traj, ladder))
     expected = (delta + 1.0) * 1.0 * np.log(1.0 / (c + 0.05))
     assert U0 == pytest.approx(expected, rel=1e-12)
 
@@ -87,13 +77,25 @@ def test_level_energy_constant_state_hand_value():
 def test_level_energy_empty_level_sets():
     traj = make_trajectory(1.5, delta=0.1)
     ladder = DeGiorgiLadder(M=2.0, k_max=4)
-    assert level_energy(traj, 0, ladder) == 0.0
+    assert level_energy(traj, 0, ladder,
+                        integrals=rung_integrals(traj, ladder)) == 0.0
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_level_energy_rejects_a_rung_outside_the_ladder(k):
+    # a negative k would otherwise index the top rung from the end
+    traj = make_trajectory(0.3, delta=0.1)
+    ladder = DeGiorgiLadder(M=0.5, k_max=4)
+    with pytest.raises(ValueError, match="outside the ladder"):
+        level_energy(traj, k, ladder, integrals=rung_integrals(traj, ladder))
 
 
 def test_level_energy_monotone_in_k():
     traj = make_trajectory(0.05, delta=0.1)
     ladder = DeGiorgiLadder(M=3.0, k_max=6)
-    energies = [level_energy(traj, k, ladder) for k in range(7)]
+    integrals = rung_integrals(traj, ladder)
+    energies = [level_energy(traj, k, ladder, integrals=integrals)
+                for k in range(7)]
     for a, b in zip(energies, energies[1:]):
         assert b <= a + 1e-14
 
@@ -139,7 +141,9 @@ def test_ladder_run_builds_each_state_once(monkeypatch):
                       laws=traj.laws, M=3.0)
     assert len(calls) == len(traj.states)
     ladder = DeGiorgiLadder(M=3.0, omega=0.01, k_max=5)
-    per_rung = [level_energy(traj, k, ladder) for k in range(6)]
+    integrals = rung_integrals(traj, ladder)
+    per_rung = [level_energy(traj, k, ladder, integrals=integrals)
+                for k in range(6)]
     assert sum(u > 0.0 for u in per_rung) >= 3
     assert cert["U_sequence"] == per_rung
 
