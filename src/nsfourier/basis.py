@@ -19,6 +19,7 @@ alive at a time: the advection matrix accumulates over node blocks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,9 +53,19 @@ def _clamped_profile(p: int, s: np.ndarray, L: float):
 
 def mode_wavenumbers(n_modes: int) -> list[tuple[int, int]]:
     """First n_modes (p, q) pairs sorted by (p+q, p)."""
-    pairs = [(p, q) for p in range(1, n_modes + 2) for q in range(1, n_modes + 2)]
-    pairs.sort(key=lambda pq: (pq[0] + pq[1], pq[0]))
-    return pairs[:n_modes]
+    pairs = ((p, s - p) for s in itertools.count(2) for p in range(1, s))
+    return list(itertools.islice(pairs, n_modes))
+
+
+def resolution_problem(nx: int, ny: int, n_modes: int) -> str | None:
+    """Why the first n_modes >= 1 modes are not resolvable on an nx x ny
+    grid, or None when they are."""
+    pairs = mode_wavenumbers(n_modes)
+    p_max = max(p for p, _ in pairs)
+    q_max = max(q for _, q in pairs)
+    if p_max + 1 > nx // 2 or q_max + 1 > ny // 2:
+        return f"mode ({p_max},{q_max}) not resolvable on a {nx}x{ny} grid"
+    return None
 
 
 @dataclass
@@ -78,12 +89,10 @@ class StreamBasis:
 def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     if n_modes < 1:
         raise ValueError("need at least one mode")
+    problem = resolution_problem(grid.nx, grid.ny, n_modes)
+    if problem:
+        raise ResolutionError(problem)
     pairs = mode_wavenumbers(n_modes)
-    p_max = max(p for p, _ in pairs)
-    q_max = max(q for _, q in pairs)
-    if p_max + 1 > grid.nx // 2 or q_max + 1 > grid.ny // 2:
-        raise ResolutionError(
-            f"mode ({p_max},{q_max}) not resolvable on a {grid.nx}x{grid.ny} grid")
 
     shape = grid.shape
     eta = np.empty((n_modes, 2) + shape)

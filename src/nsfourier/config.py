@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, asdict
 
+from .basis import resolution_problem
 from .coefficients import ConductivityLaw, ViscosityLaw
 from .errors import ConfigError
 
@@ -63,6 +64,8 @@ class RunConfig:
             problems.append("grid.Lx and grid.Ly must be positive")
         if self.n_modes < 1:
             problems.append("basis.n_modes must be at least 1")
+        elif problem := resolution_problem(self.nx, self.ny, self.n_modes):
+            problems.append(f"basis.n_modes: {problem}")
         if self.t_final < 0:
             problems.append("time.t_final must be non-negative")
         if self.dt <= 0:

@@ -201,11 +201,12 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
 
     grid = traj.grid
     law = traj.laws.conductivity
+    init = traj.states[0]
+    H_old = H0 = np.asarray(eval_H(h, init.theta.values))
     t1 = t2 = t3 = t4 = r1 = r2 = 0.0
     for m in range(len(traj.states) - 1):
         old, new = traj.states[m], traj.states[m + 1]
         dt = new.t - old.t
-        H_old = np.asarray(eval_H(h, old.theta.values))
         a_old = traj.delta + old.rho.values
         dphi = phi.at(new.t) - phi.at(old.t)
         t1 += integrate_values(grid, a_old * H_old * dphi)
@@ -232,9 +233,8 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         dh_new = np.asarray(h.dh(new.theta.values))
         r2 += dt * psi1 * integrate_values(
             grid, dh_new * kap * (tgx ** 2 + tgy ** 2) * phi.chi)
+        H_old = H_new
 
-    init = traj.states[0]
-    H0 = np.asarray(eval_H(h, init.theta.values))
     r3 = -integrate_values(grid, (traj.delta + init.rho.values) * H0 * phi.at(init.t))
 
     lhs = t1 + t2 + t3 + t4
@@ -262,8 +262,8 @@ def apriori_monitor(traj: Trajectory) -> dict:
         u = s.velocity(traj.basis)
         speed2 = u.speed_sq()
         rho_linf = max(rho_linf, s.rho.max())
-        sqrt_rho_u = max(sqrt_rho_u,
-                         np.sqrt(max(integrate_values(grid, s.rho.values * speed2), 0.0)))
+        sqrt_rho_u = max(sqrt_rho_u, float(
+            np.sqrt(max(integrate_values(grid, s.rho.values * speed2), 0.0))))
         rho_theta_l1 = max(rho_theta_l1,
                            integrate_values(grid, s.rho.values * s.theta.values))
         u_h1_sq.append(integrate_values(grid, speed2 + u.grad_sq()))

@@ -42,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import eval_conductivity
 from .errors import SchemeError, StepError
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, integrate_values
 from .transport import advect_values
 
 NEGATIVITY_GUARD = -1e-12
@@ -69,29 +69,24 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
     S is symmetric negative semidefinite with S 1 = 0, so quadrature-weighted
     conservation holds to round-off.  div(kappa grad t) ~ S t / W.
     """
-    nxp, nyp = grid.shape
+    nyp = grid.shape[1]
     wx, wy = grid.axis_weights()
-    ids = np.arange(nxp * nyp).reshape(nxp, nyp)
-
-    rows, cols, vals = [], [], []
-
-    def add_edges(a, b, g):
-        rows.extend([a, b, a, b])
-        cols.extend([b, a, a, b])
-        vals.extend([g, g, -g, -g])
-
-    # x-direction faces between (i, j) and (i+1, j)
+    # conductance of the x-face between (i, j) and (i+1, j)
     gx = 0.5 * (kappa[:-1, :] + kappa[1:, :]) * wy[None, :] / grid.hx
-    add_edges(ids[:-1, :].ravel(), ids[1:, :].ravel(), gx.ravel())
-    # y-direction faces between (i, j) and (i, j+1)
-    gy = 0.5 * (kappa[:, :-1] + kappa[:, 1:]) * wx[:, None] / grid.hy
-    add_edges(ids[:, :-1].ravel(), ids[:, 1:].ravel(), gy.ravel())
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = nxp * nyp
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # conductance of the y-face between (i, j) and (i, j+1); the last
+    # column stays zero, because node (i, ny) has no face to (i+1, 0)
+    gy = np.zeros(grid.shape)
+    gy[:, :-1] = 0.5 * (kappa[:, :-1] + kappa[:, 1:]) * wx[:, None] / grid.hy
+    # each node loses its right, left, upper and lower face conductance in
+    # that order: the face-by-face sum's order, so its round-off is kept
+    main = np.zeros(grid.shape)
+    main[:-1, :] -= gx
+    main[1:, :] -= gx
+    main[:, :-1] -= gy[:, :-1]
+    main[:, 1:] -= gy[:, :-1]
+    gx, gy = gx.ravel(), gy.ravel()[:-1]
+    return sp.diags([gx, gy, main.ravel(), gy, gx], [-nyp, -1, 0, 1, nyp],
+                    format="csr")
 
 
 def _factor_preconditioner(J: sp.csr_matrix) -> spla.LinearOperator:
@@ -210,8 +205,8 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     W = grid.quad_weights()
     if u.max_speed() > 0.0:
         w_star = advect_values(grid, w_old, u, dt)
-        total_old = float(np.sum(W * w_old))
-        total_star = float(np.sum(W * w_star))
+        total_old = integrate_values(grid, w_old)
+        total_star = integrate_values(grid, w_star)
         if total_star > total_old > 0.0:
             w_star *= total_old / total_star
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StepError
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, integrate_values
 
 CFL_CAP = 5.0
 
@@ -78,4 +78,4 @@ def level_set_measure(rho: ScalarField, alpha: float, beta: float) -> float:
     if alpha > beta:
         raise ValueError("alpha must not exceed beta")
     inside = (rho.values >= alpha) & (rho.values <= beta)
-    return float(np.sum(rho.grid.quad_weights() * inside))
+    return integrate_values(rho.grid, inside)

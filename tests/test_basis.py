@@ -4,6 +4,7 @@ import pytest
 from nsfourier.basis import (assemble_advection_matrix, assemble_viscous,
                              assemble_weighted_gram, build_basis,
                              mode_wavenumbers, reconstruct_velocity)
+from nsfourier.config import RunConfig
 from nsfourier.errors import ResolutionError
 from nsfourier.grid import Grid, ScalarField, integrate_values
 
@@ -23,9 +24,30 @@ def test_mode_ordering_deterministic():
     assert pairs == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
 
+def test_mode_ordering_matches_the_sorted_definition():
+    for n in range(40):
+        pairs = sorted(((p, q) for p in range(1, n + 2) for q in range(1, n + 2)),
+                       key=lambda pq: (pq[0] + pq[1], pq[0]))
+        assert mode_wavenumbers(n) == pairs[:n]
+
+
 def test_too_many_modes_rejected():
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError,
+                       match=r"^mode \(5,6\) not resolvable on a 8x8 grid$"):
         build_basis(Grid(nx=8, ny=8), 16)
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 8), (12, 8), (16, 24)])
+def test_config_and_build_basis_agree_on_resolvability(nx, ny):
+    grid = Grid(nx=nx, ny=ny)
+    for n in range(1, 20):
+        problems = RunConfig(nx=nx, ny=ny, n_modes=n).validate()
+        try:
+            build_basis(grid, n)
+        except ResolutionError as exc:
+            assert problems == [f"basis.n_modes: {exc}"]
+        else:
+            assert problems == []
 
 
 def test_modes_vanish_on_walls(basis):

@@ -173,6 +173,10 @@ def test_sweep_command(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[sweep-report]" in out
     assert (tmp_path / "sweep_report.txt").exists()
+    bands = [line for line in out.splitlines() if line.startswith("band ")]
+    assert bands
+    for line in bands:
+        float(line.partition(" = ")[2])
 
 
 def test_sweep_bad_schedule(config_path, tmp_path, capsys):
@@ -196,6 +200,37 @@ def test_sweep_rejects_an_invalid_schedule_entry_before_any_run(
     assert captured.err.startswith(
         "error: parse: line 2: basis.n_modes must be at least 1; ")
     assert "line 3: regularization.delta must lie in" in captured.err
+    assert not (tmp_path / "sweep_report.txt").exists()
+
+
+def no_run(config):
+    raise AssertionError("bad input is rejected before any run")
+
+
+def test_run_rejects_modes_the_grid_cannot_resolve(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(RunConfig(nx=8, ny=8)))
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: parse: basis.n_modes: mode (5,6) not resolvable on a 8x8 grid\n")
+
+
+def test_sweep_rejects_modes_the_grid_cannot_resolve_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(RunConfig(nx=16, ny=16, n_modes=4)))
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("4 1e-3 1e-2\n64 1e-3 1e-2\n")
+    monkeypatch.setattr(coupler, "run_simulation", no_run)
+    code = main(["sweep", str(path), "--schedule", str(schedule),
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: parse: line 2: basis.n_modes: "
+                            "mode (10,11) not resolvable on a 16x16 grid\n")
     assert not (tmp_path / "sweep_report.txt").exists()
 
 

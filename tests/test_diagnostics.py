@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nsfourier import diagnostics
 from nsfourier.basis import build_basis
-from nsfourier.coefficients import RenormFunction, ViscosityLaw
+from nsfourier.coefficients import RenormFunction, ViscosityLaw, eval_H
 from nsfourier.config import Laws, RunConfig
 from nsfourier.coupler import run_simulation
 from nsfourier.diagnostics import (CSV_COLUMNS, SeparableTestFunction,
@@ -173,7 +174,25 @@ def test_apriori_monitor_finite(small_run):
     _, traj = small_run
     report = apriori_monitor(traj)
     for value in report.values():
+        assert type(value) is float
         assert np.isfinite(value)
+
+
+def test_renorm_report_evaluates_H_once_per_state(small_run, monkeypatch):
+    config, traj = small_run
+    phi = SeparableTestFunction(traj.grid, traj.final.t)
+    h = RenormFunction.power(0.5)
+    before = renorm_report(traj, h, phi, config.delta, traj.laws)
+    calls = []
+
+    def counted(h, theta):
+        calls.append(theta)
+        return eval_H(h, theta)
+
+    monkeypatch.setattr(diagnostics, "eval_H", counted)
+    after = renorm_report(traj, h, phi, config.delta, traj.laws)
+    assert len(calls) == len(traj.states)
+    assert repr(after) == repr(before)
 
 
 def test_csv_format(small_run):

@@ -121,6 +121,43 @@ def test_neumann_operator_structure(grid):
     assert np.max(np.linalg.eigvalsh(dense)) <= 1e-10
 
 
+def coo_divgrad(grid, kappa):
+    """Reference operator built face by face from COO triplets: each face
+    between nodes a and b with conductance g adds g at (a, b) and (b, a)
+    and -g at (a, a) and (b, b)."""
+    wx, wy = grid.axis_weights()
+    ids = np.arange(kappa.size).reshape(grid.shape)
+    faces = [
+        (ids[:-1, :], ids[1:, :],
+         0.5 * (kappa[:-1, :] + kappa[1:, :]) * wy[None, :] / grid.hx),
+        (ids[:, :-1], ids[:, 1:],
+         0.5 * (kappa[:, :-1] + kappa[:, 1:]) * wx[:, None] / grid.hy),
+    ]
+    rows, cols, vals = [], [], []
+    for a, b, g in faces:
+        a, b, g = a.ravel(), b.ravel(), g.ravel()
+        rows += [a, b, a, b]
+        cols += [b, a, a, b]
+        vals += [g, g, -g, -g]
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(kappa.size, kappa.size))
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly, seed", [
+    (4, 4, 1.0, 1.0, 0),
+    (5, 9, 0.3, 2.7, 1),
+    (17, 6, 3.0, 0.7, 2),
+    (12, 31, 1.3, 0.45, 3),
+])
+def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed):
+    grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
+    kappa = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, grid.shape)
+    S = neumann_divgrad(grid, kappa)
+    assert S.format == "csr"
+    assert np.array_equal(S.toarray(), coo_divgrad(grid, kappa).toarray())
+
+
 def test_thermal_content_conserved(grid):
     rng = np.random.default_rng(1)
     rho = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
