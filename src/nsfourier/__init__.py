@@ -1,7 +1,8 @@
 """Incompressible flow solver with temperature-dependent transport
 coefficients and a verification harness for its structural inequalities."""
 
-from .config import Laws, RunConfig, parse_config, serialize_config
+from .config import (Laws, RunConfig, parse_config, parse_config_text,
+                     serialize_config)
 from .coupler import continuation_sweep, fixed_point_step, run_simulation
 from .errors import (CapabilityError, ConfigError, DegenerateInputError,
                      ResolutionError, RunError, SchemeError, SolverError,
@@ -15,6 +16,6 @@ __all__ = [
     "CapabilityError", "ConfigError", "DegenerateInputError", "FluidState",
     "Grid", "Laws", "ResolutionError", "RunConfig", "RunError", "ScalarField",
     "SchemeError", "SolverError", "StepError", "Trajectory", "VectorField",
-    "continuation_sweep", "fixed_point_step", "parse_config", "run_simulation",
-    "serialize_config", "__version__",
+    "continuation_sweep", "fixed_point_step", "parse_config",
+    "parse_config_text", "run_simulation", "serialize_config", "__version__",
 ]

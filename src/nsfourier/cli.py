@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .coefficients import RenormFunction, check_h_admissible
 from .config import parse_config, read_text
@@ -43,13 +42,8 @@ def _output_dir(args) -> str:
     return out
 
 
-def _load_config(path: str):
-    # a Path is always read as a file, never taken for config text
-    return parse_config(Path(path))
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     out = _output_dir(args)
     traj = run_simulation(config)
     write_diagnostics_csv(traj.records, os.path.join(out, "diagnostics.csv"))
@@ -99,7 +93,7 @@ def _parse_schedule(path: str, config):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     schedule = _parse_schedule(args.schedule, config)
     out = _output_dir(args)
     report = continuation_sweep(config, schedule)
@@ -123,7 +117,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_degiorgi(args) -> int:
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     # check the ladder arguments before the run
     build_ladder(config.theta_floor, args.kmax, args.omega, args.M)
     traj = run_simulation(config)

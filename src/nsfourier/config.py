@@ -2,12 +2,12 @@
 
 The parser validates every invariant at parse time and reports all
 problems at once, each with its line number.  ``serialize_config``
-round-trips: ``parse_config(serialize_config(c)) == c``.
+round-trips: ``parse_config_text(serialize_config(c)) == c``;
+``parse_config`` reads the same format from a file.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, asdict
 
 from .basis import resolution_problem
@@ -45,7 +45,6 @@ class RunConfig:
     visc_theta_bar: float = 1.0
     # conductivity law
     kappa_lo: float = 1.0
-    kappa_hi: float = 1.0
     # initial data
     rho_base: float = 1.0
     rho_amp: float = 0.05
@@ -82,8 +81,8 @@ class RunConfig:
             problems.append("picard.max_iter must be at least 1")
         if self.visc_slope <= 0 or self.visc_theta_bar <= 0:
             problems.append("viscosity.slope and viscosity.theta_bar must be positive")
-        if self.kappa_lo <= 0 or self.kappa_hi < self.kappa_lo:
-            problems.append("conductivity needs 0 < kappa_lo <= kappa_hi")
+        if self.kappa_lo <= 0:
+            problems.append("conductivity.kappa_lo must be positive")
         if self.theta_floor <= 0:
             problems.append("initial.theta_floor must be positive (theta_0 >= theta_floor > 0)")
         if self.theta_base - abs(self.theta_amp) < self.theta_floor:
@@ -103,7 +102,7 @@ class RunConfig:
     def laws(self) -> Laws:
         return Laws(
             viscosity=ViscosityLaw(slope=self.visc_slope, theta_bar=self.visc_theta_bar),
-            conductivity=ConductivityLaw(kappa_lo=self.kappa_lo, kappa_hi=self.kappa_hi),
+            conductivity=ConductivityLaw(kappa_lo=self.kappa_lo, kappa_hi=self.kappa_lo),
         )
 
 
@@ -117,25 +116,12 @@ _SCHEMA = {
     "regularization": {"eps": ("eps", float), "delta": ("delta", float)},
     "picard": {"tol": ("picard_tol", float), "max_iter": ("picard_max", int)},
     "viscosity": {"slope": ("visc_slope", float), "theta_bar": ("visc_theta_bar", float)},
-    "conductivity": {"kappa_lo": ("kappa_lo", float), "kappa_hi": ("kappa_hi", float)},
+    "conductivity": {"kappa_lo": ("kappa_lo", float)},
     "initial": {"rho_base": ("rho_base", float), "rho_amp": ("rho_amp", float),
                 "rho_bar": ("rho_bar", float), "theta_base": ("theta_base", float),
                 "theta_amp": ("theta_amp", float), "theta_floor": ("theta_floor", float),
                 "m0_mode": ("m0_mode", int), "m0_amplitude": ("m0_amplitude", float)},
 }
-
-
-def _names_a_file(source) -> bool:
-    """Whether `source` is a path rather than config text: any non-str,
-    an existing path, or one non-empty line that holds no '=' and does
-    not start with '['."""
-    if not isinstance(source, str):
-        return True
-    line = source.strip()
-    if "\n" in line:
-        return False
-    return os.path.exists(source) or (
-        bool(line) and "=" not in line and not line.startswith("["))
 
 
 def read_text(path) -> str:
@@ -148,11 +134,14 @@ def read_text(path) -> str:
         raise ConfigError([str(exc)]) from exc
 
 
-def parse_config(source) -> RunConfig:
-    """Parse a config from a file path or from literal config text; an
-    unreadable file is a ConfigError carrying the OS message."""
-    text = read_text(source) if _names_a_file(source) else source
+def parse_config(path) -> RunConfig:
+    """Parse the config file at `path` (a str or a Path); an unreadable
+    file is a ConfigError carrying the OS message."""
+    return parse_config_text(read_text(path))
 
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse config text."""
     problems: list[str] = []
     values: dict[str, object] = {}
     section = None

@@ -246,7 +246,9 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
             break
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
-        J = (sp.diags(diag) - S).tocsr()
+        # S's pattern holds the diagonal, so no pattern merge is needed
+        J = -S
+        J.setdiag(diag - S.diagonal())
         upd = _solve_spd(J, -F, factor.preconditioner(J, diag, kappa_flat))
         t = t + upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):

@@ -8,7 +8,8 @@ import pytest
 import nsfourier
 from nsfourier import cli, coupler
 from nsfourier.cli import main
-from nsfourier.config import RunConfig, parse_config, serialize_config
+from nsfourier.config import (RunConfig, parse_config, parse_config_text,
+                              serialize_config)
 from nsfourier.errors import ConfigError, RunError
 
 
@@ -23,11 +24,11 @@ def config_path(tmp_path):
 
 def test_config_round_trip():
     config = RunConfig(nx=48, ny=32, dt=0.005, eps=2e-3)
-    assert parse_config(serialize_config(config)) == config
+    assert parse_config_text(serialize_config(config)) == config
 
 
 def test_parse_defaults():
-    config = parse_config("[grid]\nnx = 24\nny = 24\n")
+    config = parse_config_text("[grid]\nnx = 24\nny = 24\n")
     assert config.nx == 24
     assert config.dt == RunConfig().dt
 
@@ -35,25 +36,25 @@ def test_parse_defaults():
 def test_parse_collects_all_problems():
     text = "[grid]\nnx = banana\n[nowhere]\nfoo = 1\n"
     with pytest.raises(ConfigError) as err:
-        parse_config(text)
+        parse_config_text(text)
     assert len(err.value.problems) >= 2
     assert any("line 2" in p for p in err.value.problems)
 
 
 def test_parse_rejects_delta_out_of_range():
     with pytest.raises(ConfigError) as err:
-        parse_config("[regularization]\ndelta = 1.5\n")
+        parse_config_text("[regularization]\ndelta = 1.5\n")
     assert any("(0, 1)" in p for p in err.value.problems)
 
 
 def test_parse_rejects_zero_theta_floor():
     with pytest.raises(ConfigError) as err:
-        parse_config("[initial]\ntheta_floor = 0\n")
+        parse_config_text("[initial]\ntheta_floor = 0\n")
     assert any("theta_floor" in p for p in err.value.problems)
 
 
 def test_parse_config_reads_a_path(config_path, tmp_path):
-    assert parse_config(config_path) == parse_config(
+    assert parse_config(config_path) == parse_config_text(
         pathlib.Path(config_path).read_text())
     assert parse_config(tmp_path / "run.cfg") == parse_config(config_path)
 
@@ -65,6 +66,31 @@ def test_parse_config_reports_a_missing_file(tmp_path):
     [problem] = err.value.problems
     assert problem.startswith("[Errno 2] No such file or directory")
     assert missing in problem
+
+
+@pytest.mark.parametrize("name", ["garbage", "a=b.cfg"])
+def test_parse_config_never_takes_its_argument_for_config_text(
+        name, tmp_path, monkeypatch):
+    # a bare word and a name holding '=' are both file names
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(name)
+    [problem] = err.value.problems
+    assert problem == f"[Errno 2] No such file or directory: '{name}'"
+
+
+def test_kappa_hi_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("[conductivity]\nkappa_lo = 1.0\nkappa_hi = 2\n")
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: parse: line 3: unknown key 'kappa_hi' in section [conductivity]\n")
+
+
+def test_kappa_lo_must_be_positive():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[conductivity]\nkappa_lo = 0\n")
+    assert err.value.problems == ["conductivity.kappa_lo must be positive"]
 
 
 def test_run_command(config_path, tmp_path, capsys):

@@ -158,6 +158,39 @@ def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed):
     assert np.array_equal(S.toarray(), coo_divgrad(grid, kappa).toarray())
 
 
+class RecordingFactor(JacobianFactor):
+    """A JacobianFactor that keeps each Jacobian it is handed, with the
+    diagonal and nodal conductivity it was built from."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def preconditioner(self, J, diag, kappa):
+        self.seen.append((J.copy(), diag.copy(), kappa.copy()))
+        return super().preconditioner(J, diag, kappa)
+
+
+@pytest.mark.parametrize("n", [17, 65])
+def test_newton_jacobian_matches_the_merged_pattern_form(n):
+    grid = Grid(nx=n, ny=n)
+    X, Y = grid.nodes()
+    theta = ScalarField(grid, 1.0 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    rho = ScalarField.constant(grid, 1.0)
+    factor = RecordingFactor()
+    step_temperature(theta, rho, rho, VectorField.zero(grid),
+                     ScalarField.constant(grid, 0.3), 0.01, 0.1,
+                     canonical_laws(), factor=factor)
+    assert len(factor.seen) >= 2
+    for J, diag, kappa in factor.seen:
+        S = neumann_divgrad(grid, kappa.reshape(grid.shape))
+        merged = (sp.diags(diag) - S).tocsr()
+        assert J.format == "csr"
+        assert np.array_equal(J.indptr, merged.indptr)
+        assert np.array_equal(J.indices, merged.indices)
+        assert np.array_equal(J.data, merged.data)
+
+
 def test_thermal_content_conserved(grid):
     rng = np.random.default_rng(1)
     rho = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
