@@ -4,7 +4,9 @@
         + delta theta^3 = (1-delta) S : grad u
 
 with homogeneous Neumann walls.  Advection moves the conserved quantity
-(delta+rho) theta semi-Lagrangially, diffusion is a finite-volume Neumann
+(delta+rho) theta along the characteristic feet of the step's last
+density transport, the one that produced rho_new, so a constant theta
+stays constant under transport.  Diffusion is a finite-volume Neumann
 operator with the conductivity lagged at the old temperature, the cubic
 sink is implicit and solved by Newton, the dissipation source explicit.
 A scale-down limiter keeps the advected thermal content from exceeding
@@ -175,15 +177,17 @@ def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
 
 
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
-                     rho_old: ScalarField, u: VectorField,
-                     diss: ScalarField, dt: float, delta: float,
-                     laws, factor: JacobianFactor | None = None) -> ScalarField:
+                     rho_old: ScalarField, feet, diss: ScalarField,
+                     dt: float, delta: float, laws,
+                     factor: JacobianFactor | None = None) -> ScalarField:
     """One backward-Euler step of size dt; returns the new non-negative
     temperature.
 
-    `laws` must expose `conductivity`, a `ConductivityLaw`.  `factor`
-    carries the Jacobian's LU from earlier steps; None starts with
-    nothing factored.
+    `feet` are the characteristic feet (fx, fy) along which rho_old
+    became rho_new, as `advect_density` returns them, or None when
+    nothing moved.  `laws` must expose `conductivity`, a
+    `ConductivityLaw`.  `factor` carries the Jacobian's LU from earlier
+    steps; None starts with nothing factored.
     """
     grid = theta.grid
     if dt <= 0:
@@ -203,14 +207,14 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     a_new = delta + rho_new.values
     w_old = a_old * theta.values
     W = grid.quad_weights()
-    if u.max_speed() > 0.0:
-        w_star = advect_values(grid, w_old, u, dt)
+    if feet is None:
+        w_star = w_old
+    else:
+        w_star = advect_values(grid, w_old, feet)
         total_old = integrate_values(grid, w_old)
         total_star = integrate_values(grid, w_star)
         if total_star > total_old > 0.0:
             w_star *= total_old / total_star
-    else:
-        w_star = w_old.copy()
     theta_adv = w_star / a_new
 
     wflat = W.ravel()

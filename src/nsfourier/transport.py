@@ -51,26 +51,33 @@ def compute_feet(grid: Grid, u: VectorField, dt: float):
     return _clamp(X - dt * um, Y - dt * vm, grid)
 
 
-def advect_values(grid: Grid, values: np.ndarray, u: VectorField,
-                  dt: float) -> np.ndarray:
-    fx, fy = compute_feet(grid, u, dt)
-    return interpolate_bilinear(grid, values, fx, fy)
+def advect_values(grid: Grid, values: np.ndarray, feet) -> np.ndarray:
+    """Nodal values carried along characteristics: `values` read off at
+    the feet (fx, fy) that `compute_feet` returned."""
+    return interpolate_bilinear(grid, values, *feet)
 
 
-def advect_density(rho: ScalarField, u: VectorField, dt: float) -> ScalarField:
+def advect_density(rho: ScalarField, u: VectorField, dt: float):
     """One transport step of the continuity equation along characteristics.
 
-    Preserves min/max of rho exactly (discrete maximum principle).  A step
-    whose displacement exceeds CFL_CAP cells raises StepError, so the
-    time loop retries it with a smaller dt."""
+    Returns rho_new and the feet it was read off at, or rho's copy and
+    None when u = 0 and nothing moves; the step's other conserved
+    quantities move along the same feet.  Preserves min/max of rho
+    exactly (discrete maximum principle).  A step whose displacement
+    exceeds CFL_CAP cells raises StepError, so the time loop retries it
+    with a smaller dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
     h = min(grid.hx, grid.hy)
-    if dt * u.max_speed() > CFL_CAP * h:
+    speed = u.max_speed()
+    if dt * speed > CFL_CAP * h:
         raise StepError(
-            f"dt*max|u| = {dt * u.max_speed():.3g} exceeds CFL cap {CFL_CAP}*h = {CFL_CAP * h:.3g}")
-    return ScalarField(grid, advect_values(grid, rho.values, u, dt))
+            f"dt*max|u| = {dt * speed:.3g} exceeds CFL cap {CFL_CAP}*h = {CFL_CAP * h:.3g}")
+    if speed == 0.0:
+        return rho.copy(), None
+    feet = compute_feet(grid, u, dt)
+    return ScalarField(grid, advect_values(grid, rho.values, feet)), feet
 
 
 def level_set_measure(rho: ScalarField, alpha: float, beta: float) -> float:

@@ -54,6 +54,24 @@ def test_picard_contraction():
         assert b < a
 
 
+def test_step_computes_one_set_of_feet_per_sweep(monkeypatch):
+    import nsfourier.transport as transport
+
+    config = small_config(dt=0.005, m0_amplitude=0.05, picard_tol=1e-12)
+    basis, prev = initial_step(config)
+    calls = []
+    compute_feet = transport.compute_feet
+
+    def counted(*args):
+        calls.append(args)
+        return compute_feet(*args)
+
+    monkeypatch.setattr(transport, "compute_feet", counted)
+    step = fixed_point_step(prev, config, basis, config.dt)
+    assert len(step.sweeps) >= 2
+    assert len(calls) == len(step.sweeps)
+
+
 def test_momentum_invariants_assembled_once_per_step(monkeypatch):
     import nsfourier.momentum as momentum
 

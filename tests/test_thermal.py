@@ -12,6 +12,7 @@ from nsfourier.grid import Grid, ScalarField, VectorField, integrate_values
 from nsfourier.thermal import (REFACTOR_ETA, JacobianFactor,
                                _factor_preconditioner, dissipation_field,
                                neumann_divgrad, step_temperature)
+from nsfourier.transport import advect_density, compute_feet
 
 
 def constant_kappa_laws(kappa=1.0):
@@ -35,7 +36,7 @@ def grid():
 def test_params_validation(grid):
     theta = ScalarField.constant(grid, 0.5)
     rho = ScalarField.constant(grid, 1.0)
-    fields = (theta, rho, rho, VectorField.zero(grid),
+    fields = (theta, rho, rho, None,
               ScalarField.constant(grid, 0.0))
     with pytest.raises(ValueError, match="dt"):
         step_temperature(*fields, 0.0, 0.1, canonical_laws())
@@ -71,10 +72,31 @@ def test_dissipation_rigid_rotation(grid):
 def test_steady_state_constant_theta(grid):
     theta = ScalarField.constant(grid, 0.8)
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 0.0), 0.1, 0.0,
                            canonical_laws())
     assert np.allclose(out.values, 0.8, atol=1e-12)
+
+
+def test_constant_theta_stays_constant_along_the_densitys_feet(grid):
+    # with delta = 0 the advected content is rho theta; moved along rho's
+    # own feet it is theta times the moved rho, so theta stays constant
+    X, Y = grid.nodes()
+    rho = ScalarField(grid, 1.0 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    omega = 2.0 * np.pi
+    u = VectorField(grid, -omega * (Y - 0.5), omega * (X - 0.5))
+    dt = 0.02
+    rho_new, feet = advect_density(rho, u, dt)
+    theta = ScalarField.constant(grid, 0.7)
+    source = ScalarField.constant(grid, 0.0)
+    out = step_temperature(theta, rho_new, rho, feet, source, dt, 0.0,
+                           canonical_laws())
+    assert np.ptp(out.values) <= 8 * np.spacing(0.7)
+    # feet of another flow do not carry rho_new, and theta moves
+    other = compute_feet(grid, VectorField(grid, 0.5 * u.u, 0.5 * u.v), dt)
+    moved = step_temperature(theta, rho_new, rho, other, source, dt, 0.0,
+                             canonical_laws())
+    assert np.ptp(moved.values) > 1e-4
 
 
 def test_uniform_sink_ode_matches_root_find(grid):
@@ -82,7 +104,7 @@ def test_uniform_sink_ode_matches_root_find(grid):
     dt = 0.1
     theta = ScalarField.constant(grid, 1.0)
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 0.0), dt, delta,
                            canonical_laws())
     expected = brentq(lambda t: (delta + 1.0) * (t - 1.0) / dt
@@ -102,7 +124,7 @@ def test_cosine_diffusion_decay_rate():
     steps = 50
     laws = constant_kappa_laws(kappa)
     for _ in range(steps):
-        theta = step_temperature(theta, rho, rho, VectorField.zero(grid),
+        theta = step_temperature(theta, rho, rho, None,
                                  ScalarField.constant(grid, 0.0), dt, 0.0, laws)
     rate = kappa * np.pi ** 2
     measured = (theta.max() - theta.min()) / 2.0
@@ -178,7 +200,7 @@ def test_newton_jacobian_matches_the_merged_pattern_form(n):
     theta = ScalarField(grid, 1.0 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
     rho = ScalarField.constant(grid, 1.0)
     factor = RecordingFactor()
-    step_temperature(theta, rho, rho, VectorField.zero(grid),
+    step_temperature(theta, rho, rho, None,
                      ScalarField.constant(grid, 0.3), 0.01, 0.1,
                      canonical_laws(), factor=factor)
     assert len(factor.seen) >= 2
@@ -197,7 +219,7 @@ def test_thermal_content_conserved(grid):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.5 + 0.2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
     before = integrate_values(grid, rho.values * theta.values)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 0.0), 0.05, 0.0,
                            canonical_laws())
     after = integrate_values(grid, rho.values * out.values)
@@ -208,7 +230,7 @@ def test_pure_diffusion_comparison_principle(grid):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 0.0), 0.1, 0.0,
                            canonical_laws())
     assert out.min() >= theta.min() - 1e-12
@@ -219,7 +241,7 @@ def test_output_nonnegative_with_strong_sink(grid):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.01 + 0.005 * np.cos(np.pi * x))
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 0.0), 1.0, 0.5,
                            canonical_laws())
     assert out.min() >= 0.0
@@ -228,7 +250,7 @@ def test_output_nonnegative_with_strong_sink(grid):
 def test_dissipation_source_heats(grid):
     theta = ScalarField.constant(grid, 0.2)
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(theta, rho, rho, VectorField.zero(grid),
+    out = step_temperature(theta, rho, rho, None,
                            ScalarField.constant(grid, 1.0), 0.1, 0.0,
                            canonical_laws())
     assert out.min() > 0.2
@@ -237,13 +259,11 @@ def test_dissipation_source_heats(grid):
 def test_input_validation(grid):
     rho = ScalarField.constant(grid, 1.0)
     with pytest.raises(ValueError):
-        step_temperature(ScalarField.constant(grid, -0.1), rho, rho,
-                         VectorField.zero(grid),
+        step_temperature(ScalarField.constant(grid, -0.1), rho, rho, None,
                          ScalarField.constant(grid, 0.0), 0.1, 0.1,
                          canonical_laws())
     with pytest.raises(ValueError):
-        step_temperature(ScalarField.constant(grid, 0.1), rho, rho,
-                         VectorField.zero(grid),
+        step_temperature(ScalarField.constant(grid, 0.1), rho, rho, None,
                          ScalarField.constant(grid, -1.0), 0.1, 0.1,
                          canonical_laws())
 
@@ -276,7 +296,7 @@ def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
 
     def step():
         solves.clear()
-        return step_temperature(theta, rho, rho, VectorField.zero(grid),
+        return step_temperature(theta, rho, rho, None,
                                 ScalarField.constant(grid, 0.0), 0.02, 0.01,
                                 laws)
 
@@ -323,7 +343,7 @@ def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
     monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(spla, "cg", counted_cg)
     monkeypatch.setattr(thermal, "_solve_spd", checked)
-    step_temperature(theta, rho, rho, VectorField.zero(grid),
+    step_temperature(theta, rho, rho, None,
                      ScalarField.constant(grid, 0.0), 0.02, 0.01,
                      canonical_laws())
     assert len(cg_iters) >= 2
@@ -353,7 +373,7 @@ def test_factor_is_kept_until_the_jacobian_leaves_its_band(grid, monkeypatch):
         theta = ScalarField.from_function(
             grid, lambda x, y: theta0 + 0.01 * np.cos(np.pi * x))
         rho = ScalarField.constant(grid, 1.0)
-        step_temperature(theta, rho, rho, VectorField.zero(grid),
+        step_temperature(theta, rho, rho, None,
                          ScalarField.constant(grid, 0.0), dt, 0.01,
                          canonical_laws(), factor=factor)
         return len(splu_calls)
@@ -383,7 +403,7 @@ def test_old_factor_is_released_before_refactoring(grid, monkeypatch):
     rho = ScalarField.constant(grid, 1.0)
     theta = ScalarField.constant(grid, 0.5)
     for dt in (0.02, 0.01):
-        step_temperature(theta, rho, rho, VectorField.zero(grid),
+        step_temperature(theta, rho, rho, None,
                          ScalarField.constant(grid, 0.0), dt, 0.01,
                          canonical_laws(), factor=factor)
     assert held == [False, False]
@@ -395,14 +415,14 @@ def test_reused_factor_matches_a_fresh_one(monkeypatch):
     source = ScalarField.constant(grid, 0.0)
     factor = JacobianFactor()
     splu_calls = counted_splu(monkeypatch)
-    step_temperature(theta, rho, rho, VectorField.zero(grid), source, 0.02,
+    step_temperature(theta, rho, rho, None, source, 0.02,
                      0.01, laws, factor=factor)
     # kappa(theta) moves by about 2%, inside the band: the factor is reused
     warmer = ScalarField(grid, theta.values + 0.2)
-    reused = step_temperature(warmer, rho, rho, VectorField.zero(grid),
+    reused = step_temperature(warmer, rho, rho, None,
                               source, 0.02, 0.01, laws, factor=factor)
     assert len(splu_calls) == 1
-    fresh = step_temperature(warmer, rho, rho, VectorField.zero(grid),
+    fresh = step_temperature(warmer, rho, rho, None,
                              source, 0.02, 0.01, laws)
     assert np.max(np.abs(reused.values - fresh.values)) <= 1e-12 * fresh.max()
 

@@ -21,8 +21,9 @@ def uniform_flow(grid, ux, uy):
 def test_zero_velocity_is_identity():
     grid = Grid(nx=32, ny=32)
     rho = blob(grid)
-    out = advect_density(rho, VectorField.zero(grid), 0.1)
+    out, feet = advect_density(rho, VectorField.zero(grid), 0.1)
     assert np.array_equal(out.values, rho.values)
+    assert feet is None
 
 
 def test_interpolation_at_nodes_exact():
@@ -41,7 +42,7 @@ def test_uniform_translation_order():
         grid = Grid(nx=n, ny=n)
         shift = 0.5 / n
         rho = blob(grid)
-        out = advect_density(rho, uniform_flow(grid, 1.0, 0.0), shift)
+        out, _ = advect_density(rho, uniform_flow(grid, 1.0, 0.0), shift)
         shifted = ScalarField.from_function(
             grid, lambda x, y: 1.0 + np.exp(-((x - shift - 0.5) ** 2
                                               + (y - 0.5) ** 2) / 0.02))
@@ -59,7 +60,7 @@ def test_min_max_preserved_random_steps():
         rho = ScalarField(grid, rng.random(grid.shape))
         u = VectorField(grid, 0.5 * rng.standard_normal(grid.shape),
                         0.5 * rng.standard_normal(grid.shape))
-        out = advect_density(rho, u, 0.05)
+        out, _ = advect_density(rho, u, 0.05)
         assert out.min() >= rho.min()
         assert out.max() <= rho.max()
 
@@ -111,6 +112,6 @@ def test_rotation_preserves_level_set_measure():
     measure0 = level_set_measure(rho, 1.2, np.inf)
     f = rho
     for _ in range(steps):
-        f = advect_density(f, u, dt)
+        f, _ = advect_density(f, u, dt)
     measure1 = level_set_measure(f, 1.2, np.inf)
     assert abs(measure1 - measure0) <= 0.08 * measure0
