@@ -38,7 +38,10 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def _output_dir(args) -> str:
     out = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([str(exc)]) from exc
     return out
 
 

@@ -144,6 +144,7 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse config text."""
     problems: list[str] = []
     values: dict[str, object] = {}
+    seen: set[str] = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,6 +170,10 @@ def parse_config_text(text: str) -> RunConfig:
             problems.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
         attr, typ = entry
+        if attr in seen:
+            problems.append(f"line {lineno}: duplicate key {key!r} in section [{section}]")
+            continue
+        seen.add(attr)
         try:
             values[attr] = typ(val)
         except ValueError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import eval_conductivity
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, SchemeError
 from .grid import grad_values, integrate_values
 from .state import Trajectory
 
@@ -178,7 +178,7 @@ def ladder_run(traj: Trajectory, theta_floor: float, k_max: int = 8,
     lower_bound = float(np.exp(-ladder.M) - omega)
     observed = traj.min_theta()
     if decay_ok and observed < lower_bound:
-        raise AssertionError(
+        raise SchemeError(
             f"certificate claims theta >= {lower_bound} but the trajectory "
             f"reaches {observed}")
     fit_C = _fit_recursion_constant(U)

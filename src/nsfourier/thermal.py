@@ -26,8 +26,8 @@ preconditioned by J0^-1 then sees a spectrum in [1 - eta, 1 + eta] and
 contracts the error in the J-norm by at least
 (sqrt(c) - 1)/(sqrt(c) + 1) ~ eta/2 per iteration, c = (1+eta)/(1-eta):
 at eta = 0.1, at most about 11 iterations reach the 1e-12 relative
-residual.  One sparse LU (`JacobianFactor`) is therefore kept across
-Newton solves and across time steps, and refactored only when
+residual.  One sparse LU is therefore kept across Newton solves and
+across time steps, and `JacobianFactor.solve` refactors it only when
 eta = max(max|D/D0 - 1|, max|kappa/kappa0 - 1|) exceeds REFACTOR_ETA.
 Halving dt doubles a/dt, so a halved step always refactors.  Every
 solve is still checked to the same residual tolerance on J itself, so
@@ -91,19 +91,6 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
                     format="csr")
 
 
-def _factor_preconditioner(J: sp.csr_matrix) -> spla.LinearOperator:
-    """Sparse LU of the SPD Jacobian J, as a preconditioner for CG.
-
-    The minimum-degree ordering is taken on the symmetric pattern and the
-    pivots stay on the diagonal (J is SPD, so no row interchange is
-    needed).  Narrow panels and no relaxed supernodes keep the L and U
-    factors small."""
-    lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
-                   panel_size=4, relax=1)
-    return spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
-
-
 def _band_eta(new: np.ndarray, old: np.ndarray) -> float:
     """max |new/old - 1|, or inf when the shapes differ; NaN where old
     is 0 counts as outside every band."""
@@ -120,60 +107,50 @@ except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
 
-def _return_free_heap_pages() -> None:
-    """Hand the free pages of the C heap back to the OS, where glibc allows.
-
-    SuperLU reserves about ten times the memory its factor fills (15 MB
-    for 1.6 MB on a 65^2 grid).  A released factor leaves those blocks
-    free in the middle of the heap; its successor lands at a shifted
-    offset and touches new pages, so without this the resident size
-    creeps up with every refactorization (by 3 MB over 11 on the
-    `stressed` benchmark workload)."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 class JacobianFactor:
     """The sparse LU of the last factored Newton Jacobian J0 = diag(D0) - S0,
     with the D0 and nodal kappa0 it was built from.
 
-    One holder serves every Newton solve of a run.  `preconditioner`
-    refactors only when the Jacobian has left the (1 +- REFACTOR_ETA)
-    Loewner band around J0 (see the module docstring)."""
+    One holder serves every Newton solve of a run.  `solve` refactors only
+    when the Jacobian has left the (1 +- REFACTOR_ETA) Loewner band around
+    J0 (see the module docstring)."""
 
     def __init__(self):
-        self._precond = None
+        self._lu = None
         self._diag = None
         self._kappa = None
 
-    def preconditioner(self, J: sp.csr_matrix, diag: np.ndarray,
-                       kappa: np.ndarray) -> spla.LinearOperator:
-        """J0^-1 as a CG preconditioner for J = diag(diag) - S(kappa)."""
-        if (self._precond is None
+    def solve(self, S: sp.csr_matrix, diag: np.ndarray, kappa: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+        """Solve (diag(diag) - S(kappa)) x = rhs by CG preconditioned with
+        J0's LU, to a relative residual of 1e-12 on J itself."""
+        # S's pattern holds the diagonal, so no pattern merge is needed
+        J = -S
+        J.setdiag(diag - S.diagonal())
+        if (self._lu is None
                 or max(_band_eta(diag, self._diag),
                        _band_eta(kappa, self._kappa)) > REFACTOR_ETA):
-            # release the old factor before the new one is built, so two
-            # are never alive at once
-            self._precond = self._diag = self._kappa = None
-            _return_free_heap_pages()
-            self._precond = _factor_preconditioner(J)
+            # Release the old factor first, so two are never alive at once,
+            # and trim the C heap: SuperLU reserves about ten times what its
+            # factor fills, and without the trim each successor touches new
+            # pages (+3 MB resident over 11 refactorizations on `stressed`).
+            self._lu = self._diag = self._kappa = None
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            # minimum-degree ordering on the symmetric pattern, diagonal
+            # pivots (J is SPD); narrow panels, no relaxed supernodes
+            self._lu = spla.splu(
+                J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True), panel_size=4, relax=1)
             self._diag = diag.copy()
             self._kappa = kappa.copy()
-        return self._precond
-
-
-def _solve_spd(J: sp.csr_matrix, rhs: np.ndarray,
-               precond: spla.LinearOperator) -> np.ndarray:
-    """Solve J x = rhs by CG to a relative residual of 1e-12.
-
-    `precond` applies the inverse of a nearby Jacobian, the one
-    `JacobianFactor` holds, so CG converges in a few iterations; the
-    residual check is on J itself, so the solution does not inherit the
-    factor's round-off."""
-    sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=precond)
-    if info != 0:
-        raise StepError(f"conjugate gradient failed to converge (info={info})")
-    return sol
+        precond = spla.LinearOperator(J.shape, matvec=self._lu.solve,
+                                      dtype=float)
+        sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000,
+                            M=precond)
+        if info != 0:
+            raise StepError(f"conjugate gradient failed to converge (info={info})")
+        return sol
 
 
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
@@ -203,10 +180,8 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     if diss.min() < 0:
         raise ValueError("dissipation source must be non-negative")
 
-    a_old = delta + rho_old.values
     a_new = delta + rho_new.values
-    w_old = a_old * theta.values
-    W = grid.quad_weights()
+    w_old = (delta + rho_old.values) * theta.values
     if feet is None:
         w_star = w_old
     else:
@@ -217,7 +192,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
             w_star *= total_old / total_star
     theta_adv = w_star / a_new
 
-    wflat = W.ravel()
+    wflat = grid.quad_weights().ravel()
     aflat = a_new.ravel()
     src = ((1.0 - delta) * diss.values).ravel()
     t_adv = theta_adv.ravel()
@@ -239,28 +214,20 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     # tolerance, as soon as the residual has stopped contracting.
     if factor is None:
         factor = JacobianFactor()
-    kappa_flat = kappa_old.ravel()
-    converged = False
     f_prev = np.inf
     for _ in range(NEWTON_MAX):
         F = residual(t)
         f_max = float(np.max(np.abs(F)))
         if f_max <= 1e-2 * tol or (f_max <= tol and f_max > 0.5 * f_prev):
-            converged = True
             break
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
-        # S's pattern holds the diagonal, so no pattern merge is needed
-        J = -S
-        J.setdiag(diag - S.diagonal())
-        upd = _solve_spd(J, -F, factor.preconditioner(J, diag, kappa_flat))
+        upd = factor.solve(S, diag, kappa_old, -F)
         t = t + upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
-            converged = True
             break
-    if not converged:
-        F = residual(t)
-        if np.max(np.abs(F)) > tol:
+    else:
+        if np.max(np.abs(residual(t))) > tol:
             raise StepError("temperature Newton iteration did not converge")
 
     t = t.reshape(grid.shape)

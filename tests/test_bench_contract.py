@@ -162,3 +162,30 @@ def test_a_misfit_call_is_caught():
 def test_a_missing_name_is_caught():
     assert not _resolves("nsfourier.grid.no_such_name")
     assert not _resolves("nsfourier.no_such_module.name")
+
+
+def test_step_temperature_calls_cg_and_splu_through_scipy(monkeypatch):
+    # the tracer's `thermal.cg` span and `cg_iters_per_solve` patch
+    # scipy.sparse.linalg.cg on the module object, so a name bound by
+    # `from scipy.sparse.linalg import cg` would slip past them unseen
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    from nsfourier.config import RunConfig
+    from nsfourier.grid import Grid, ScalarField
+    from nsfourier.thermal import step_temperature
+
+    calls = []
+    for name in ("cg", "splu"):
+        def counted(*args, _fn=getattr(spla, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spla, name, counted)
+    grid = Grid(nx=8, ny=8)
+    X, _ = grid.nodes()
+    theta = ScalarField(grid, 0.5 + 0.1 * np.cos(np.pi * X))
+    rho = ScalarField.constant(grid, 1.0)
+    step_temperature(theta, rho, rho, None, ScalarField.constant(grid, 0.0),
+                     0.01, 0.01, RunConfig().laws())
+    assert calls[0] == "splu"
+    assert "cg" in calls

@@ -79,6 +79,15 @@ def test_parse_config_never_takes_its_argument_for_config_text(
     assert problem == f"[Errno 2] No such file or directory: '{name}'"
 
 
+def test_parse_reports_a_duplicate_key_with_the_other_problems():
+    text = "[grid]\nnx = 8\nnx = 16\n[time]\ndt = oops\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.problems == [
+        "line 3: duplicate key 'nx' in section [grid]",
+        "line 5: cannot parse 'oops' as float for 'dt'"]
+
+
 def test_kappa_hi_is_an_unknown_key(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("[conductivity]\nkappa_lo = 1.0\nkappa_hi = 2\n")
@@ -174,6 +183,18 @@ def test_degiorgi_command(config_path, capsys):
     assert "decay_ok = true" in out
 
 
+def test_degiorgi_contradicted_certificate_is_a_run_error(tmp_path, capsys):
+    # the ladder decays, but its bound exp(-1.6099) = 0.199908 lies above
+    # the trajectory's minimum temperature, 0.1999
+    path = tmp_path / "run.cfg"
+    path.write_text("[grid]\nnx = 16\nny = 16\n[basis]\nn_modes = 4\n"
+                    "[time]\nt_final = 0.02\ndt = 0.01\n")
+    assert main(["degiorgi", str(path), "--kmax", "20", "--M", "1.6099"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run: certificate claims theta >= 0.1999")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--kmax", "0", "k_max must be at least 1"),
     ("--M", "-1", "M must be positive"),
@@ -258,6 +279,23 @@ def test_sweep_rejects_modes_the_grid_cannot_resolve_before_any_run(
     assert captured.err == ("error: parse: line 2: basis.n_modes: "
                             "mode (10,11) not resolvable on a 16x16 grid\n")
     assert not (tmp_path / "sweep_report.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_dir_under_a_file_is_rejected_before_any_run(
+        command, config_path, tmp_path, capsys, monkeypatch):
+    regular = tmp_path / "regular_file"
+    regular.write_text("")
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("6 1e-2 1e-2\n")
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(coupler, "run_simulation", no_run)
+    out = regular / "out"
+    args = {"run": ["run", config_path],
+            "sweep": ["sweep", config_path, "--schedule", str(schedule)]}
+    assert main(args[command] + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: parse: [Errno 20] Not a directory: '{out}'\n")
 
 
 def test_sweep_exits_3_after_reporting_a_failed_run(config_path, tmp_path,

@@ -109,6 +109,22 @@ def test_quiet_run_factors_the_thermal_jacobian_once(monkeypatch):
     assert len(factorizations) == 1
 
 
+def test_unconverged_cg_halves_the_step(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    cg = spla.cg
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        sol, info = cg(*args, **kwargs)
+        return sol, (1 if len(calls) == 1 else info)
+
+    monkeypatch.setattr(spla, "cg", fails_once)
+    traj = run_simulation(small_config(t_final=0.01))
+    assert traj.times.tolist() == [0.0, 0.005, 0.01]
+
+
 def count_reconstructions(monkeypatch) -> list:
     """Patch every module that binds `reconstruct_velocity`; the returned
     list grows by one entry per call."""

@@ -8,10 +8,11 @@ from scipy.optimize import brentq
 from nsfourier.coefficients import ConductivityLaw
 from nsfourier.config import Laws
 from nsfourier.coefficients import ViscosityLaw
+from nsfourier.errors import StepError
 from nsfourier.grid import Grid, ScalarField, VectorField, integrate_values
 from nsfourier.thermal import (REFACTOR_ETA, JacobianFactor,
-                               _factor_preconditioner, dissipation_field,
-                               neumann_divgrad, step_temperature)
+                               dissipation_field, neumann_divgrad,
+                               step_temperature)
 from nsfourier.transport import advect_density, compute_feet
 
 
@@ -181,30 +182,40 @@ def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed):
 
 
 class RecordingFactor(JacobianFactor):
-    """A JacobianFactor that keeps each Jacobian it is handed, with the
-    diagonal and nodal conductivity it was built from."""
+    """A JacobianFactor that keeps the diagonal and nodal conductivity of
+    each Jacobian it solves with."""
 
     def __init__(self):
         super().__init__()
         self.seen = []
 
-    def preconditioner(self, J, diag, kappa):
-        self.seen.append((J.copy(), diag.copy(), kappa.copy()))
-        return super().preconditioner(J, diag, kappa)
+    def solve(self, S, diag, kappa, rhs):
+        self.seen.append((diag.copy(), kappa.copy()))
+        return super().solve(S, diag, kappa, rhs)
 
 
 @pytest.mark.parametrize("n", [17, 65])
-def test_newton_jacobian_matches_the_merged_pattern_form(n):
+def test_newton_jacobian_matches_the_merged_pattern_form(n, monkeypatch):
     grid = Grid(nx=n, ny=n)
     X, Y = grid.nodes()
     theta = ScalarField(grid, 1.0 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
     rho = ScalarField.constant(grid, 1.0)
+    # the Jacobians as CG receives them
+    jacobians = []
+    cg = spla.cg
+
+    def recorded_cg(J, *args, **kwargs):
+        jacobians.append(J.copy())
+        return cg(J, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", recorded_cg)
     factor = RecordingFactor()
     step_temperature(theta, rho, rho, None,
                      ScalarField.constant(grid, 0.3), 0.01, 0.1,
                      canonical_laws(), factor=factor)
     assert len(factor.seen) >= 2
-    for J, diag, kappa in factor.seen:
+    assert len(jacobians) == len(factor.seen)
+    for J, (diag, kappa) in zip(jacobians, factor.seen):
         S = neumann_divgrad(grid, kappa.reshape(grid.shape))
         merged = (sp.diags(diag) - S).tocsr()
         assert J.format == "csr"
@@ -286,13 +297,13 @@ def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
     grid, theta, rho = hot_step_inputs()
     laws = canonical_laws()
     solves = []
-    solve_spd = thermal._solve_spd
+    solve = JacobianFactor.solve
 
-    def counted(J, rhs, *args):
+    def counted(self, *args):
         solves.append(1)
-        return solve_spd(J, rhs, *args)
+        return solve(self, *args)
 
-    monkeypatch.setattr(thermal, "_solve_spd", counted)
+    monkeypatch.setattr(JacobianFactor, "solve", counted)
 
     def step():
         solves.clear()
@@ -308,10 +319,6 @@ def test_newton_stops_at_round_off_floor_near_theta_20(monkeypatch):
 
 
 def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    import nsfourier.thermal as thermal
-
     grid, theta, rho = hot_step_inputs()
     factorizations = []
     splu = spla.splu
@@ -321,28 +328,22 @@ def test_newton_solves_share_one_factorization_near_theta_20(monkeypatch):
         return splu(*args, **kwargs)
 
     cg_iters = []
+    errors = []
     cg = spla.cg
 
-    def counted_cg(*args, **kwargs):
+    def counted_cg(J, rhs, **kwargs):
         cg_iters.append(0)
 
         def count(xk):
             cg_iters[-1] += 1
 
-        return cg(*args, callback=count, **kwargs)
-
-    errors = []
-    solve_spd = thermal._solve_spd
-
-    def checked(J, rhs, *args):
-        upd = solve_spd(J, rhs, *args)
+        upd, info = cg(J, rhs, callback=count, **kwargs)
         ref = spla.spsolve(J.tocsc(), rhs)
         errors.append(np.max(np.abs(upd - ref)) / np.max(np.abs(ref)))
-        return upd
+        return upd, info
 
     monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(spla, "cg", counted_cg)
-    monkeypatch.setattr(thermal, "_solve_spd", checked)
     step_temperature(theta, rho, rho, None,
                      ScalarField.constant(grid, 0.0), 0.02, 0.01,
                      canonical_laws())
@@ -396,7 +397,7 @@ def test_old_factor_is_released_before_refactoring(grid, monkeypatch):
     splu = spla.splu
 
     def checked(*args, **kwargs):
-        held.append(factor._precond is not None)
+        held.append(factor._lu is not None)
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", checked)
@@ -447,9 +448,28 @@ def test_band_bounds_preconditioned_cg(seed, d_decade, kappa_decade, spread):
     def jacobian(D, kappa):
         return (sp.diags(D) - neumann_divgrad(grid, kappa)).tocsr()
 
-    precond = _factor_preconditioner(jacobian(D0, kappa0))
+    factor = JacobianFactor()
+    factor.solve(neumann_divgrad(grid, kappa0), D0, kappa0, np.ones(W.size))
+    precond = spla.LinearOperator((W.size, W.size), matvec=factor._lu.solve,
+                                  dtype=float)
     D = D0 * (1.0 + REFACTOR_ETA * rng.uniform(-1.0, 1.0, D0.shape))
     kappa = kappa0 * (1.0 + REFACTOR_ETA * rng.uniform(-1.0, 1.0, kappa0.shape))
     _, info = spla.cg(jacobian(D, kappa), rng.standard_normal(W.size),
                       rtol=1e-12, atol=0.0, maxiter=11, M=precond)
     assert info == 0
+
+
+def test_unconverged_cg_is_a_step_error(grid, monkeypatch):
+    cg = spla.cg
+
+    def unconverged(*args, **kwargs):
+        return cg(*args, **kwargs)[0], 1
+
+    monkeypatch.setattr(spla, "cg", unconverged)
+    theta = ScalarField.from_function(
+        grid, lambda x, y: 0.5 + 0.01 * np.cos(np.pi * x))
+    rho = ScalarField.constant(grid, 1.0)
+    with pytest.raises(StepError, match="conjugate gradient failed to converge"):
+        step_temperature(theta, rho, rho, None,
+                         ScalarField.constant(grid, 0.0), 0.02, 0.01,
+                         canonical_laws())
