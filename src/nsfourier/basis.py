@@ -9,12 +9,22 @@ reconstructed velocity is exactly divergence free and exactly zero on
 the boundary.  Modes are ordered by total wavenumber p+q with x-major
 tie-breaking.
 
-Galerkin assembly works on the flattened views eta (n, 2, P) and
-deta (n, 4, P) over the P grid nodes, without copying the basis arrays:
-a weighted integral int w f_i f_j dx of one component f becomes the
-symmetric rank-k BLAS update H H^T with H = f sqrt(w), and a vector
-integrand takes one such GEMM per component.  At most one (n, P) slab is
-alive at a time: the advection matrix accumulates over node blocks.
+Every field of the basis is a tensor product of 1-D profiles, so the
+basis keeps only the tables X_p, X_p', X_p'' (p = 1..P) on the x nodes
+and Y_q, Y_q', Y_q'' (q = 1..Q) on the y nodes, plus copies of the
+profiles that enter the velocity itself with their wall values pinned
+to zero.  A velocity is a few small triple products such as
+u = X^T C Y' with the coefficients scattered into a (P, Q) matrix C.
+Each Galerkin integral
+
+    int W A_{p_i}(x) B_{q_i}(y) C_{p_j}(x) D_{q_j}(y) dx
+
+is sum-factorized: one GEMM contracts y for every pair (q_i, q_j), a
+second contracts x for every pair (p_i, p_j), and the n x n entries are
+gathered from the (P^2, Q^2) result.  The cost is
+O(Nx Ny Q^2 + Nx P^2 Q^2) instead of O(n^2 Nx Ny), and no (n, Nx, Ny)
+table is formed.  The dense tables `eta` and `deta` remain available
+for checking, built on first access.
 """
 
 from __future__ import annotations
@@ -37,18 +47,16 @@ __all__ = [
     "assemble_advection_matrix",
 ]
 
-# nodes per block of the advection assembly
-ADVECTION_BLOCK = 4096
 
-
-def _clamped_profile(p: int, s: np.ndarray, L: float):
-    """X_p and its first two derivatives on nodes s."""
+def _clamped_profiles(p_max: int, s: np.ndarray, L: float) -> np.ndarray:
+    """(3, p_max, len(s)) table of X_p, X_p', X_p'' for p = 1..p_max on
+    nodes s."""
+    p = np.arange(1, p_max + 1)[:, None]
     k1 = (p - 1) * np.pi / L
     k2 = (p + 1) * np.pi / L
-    f = np.cos(k1 * s) - np.cos(k2 * s)
-    d1 = -k1 * np.sin(k1 * s) + k2 * np.sin(k2 * s)
-    d2 = -k1 ** 2 * np.cos(k1 * s) + k2 ** 2 * np.cos(k2 * s)
-    return f, d1, d2
+    return np.stack([np.cos(k1 * s) - np.cos(k2 * s),
+                     -k1 * np.sin(k1 * s) + k2 * np.sin(k2 * s),
+                     -k1 ** 2 * np.cos(k1 * s) + k2 ** 2 * np.cos(k2 * s)])
 
 
 def mode_wavenumbers(n_modes: int) -> list[tuple[int, int]]:
@@ -73,17 +81,51 @@ class StreamBasis:
     grid: Grid
     n_modes: int
     wavenumbers: list = field(repr=False)
-    eta: np.ndarray = field(repr=False)    # (n, 2, Nx, Ny)
-    deta: np.ndarray = field(repr=False)   # (n, 2, 2, Nx, Ny); deta[j,a,b] = d_b eta_a
+    X: np.ndarray = field(repr=False)       # (3, P, Nx): X_p, X_p', X_p''
+    Y: np.ndarray = field(repr=False)       # (3, Q, Ny): Y_q, Y_q', Y_q''
+    X_wall: np.ndarray = field(repr=False)  # (2, P, Nx): X_p, X_p', 0 on the walls
+    Y_wall: np.ndarray = field(repr=False)  # (2, Q, Ny): Y_q, Y_q', 0 on the walls
+
+    def __post_init__(self):
+        # mode j is row p[j] of the x tables and row q[j] of the y tables
+        self.p, self.q = np.array(self.wavenumbers).T - 1
 
     @cached_property
     def grad_gram(self) -> np.ndarray:
         """G_ij = int grad eta_i : grad eta_j dx, built on first use and
         shared read-only by every caller."""
-        w = self.grid.quad_weights().ravel()
-        G = sum(_weighted_gram(f, w) for f in _flat(self)[1].swapaxes(0, 1))
+        w = self.grid.quad_weights()
+        X, dX, d2X = self.X
+        Y, dY, d2Y = self.Y
+        # the four gradient components are X'Y', X Y'', -X''Y and -X'Y'
+        G = _contract(self, w, dX, dY, dX, dY)
+        G *= 2.0
+        G += _contract(self, w, X, d2Y, X, d2Y)
+        G += _contract(self, w, d2X, Y, d2X, Y)
+        G = _mirror_upper(G)
         G.flags.writeable = False
         return G
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """Dense (n, 2, Nx, Ny) mode velocities, built on first access for
+        checks and tools; the solver never reads it."""
+        (X, dX), (Y, dY) = self.X_wall[:, self.p], self.Y_wall[:, self.q]
+        return np.stack([_outer(X, dY), -_outer(dX, Y)], axis=1)
+
+    @cached_property
+    def deta(self) -> np.ndarray:
+        """Dense (n, 2, 2, Nx, Ny) mode gradients, deta[j, a, b] = d_b
+        eta_a, built on first access like `eta`."""
+        (X, dX, d2X), (Y, dY, d2Y) = self.X[:, self.p], self.Y[:, self.q]
+        a = _outer(dX, dY)
+        return np.stack([np.stack([a, _outer(X, d2Y)], axis=1),
+                         np.stack([-_outer(d2X, Y), -a], axis=1)], axis=1)
+
+
+def _outer(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise outer products: (n, Nx) x (n, Ny) -> (n, Nx, Ny)."""
+    return A[:, :, None] * B[:, None, :]
 
 
 def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
@@ -93,27 +135,16 @@ def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     if problem:
         raise ResolutionError(problem)
     pairs = mode_wavenumbers(n_modes)
-
-    shape = grid.shape
-    eta = np.empty((n_modes, 2) + shape)
-    deta = np.empty((n_modes, 2, 2) + shape)
-    for j, (p, q) in enumerate(pairs):
-        X, dX, d2X = _clamped_profile(p, grid.x, grid.Lx)
-        Y, dY, d2Y = _clamped_profile(q, grid.y, grid.Ly)
-        # eta = (psi_y, -psi_x) with psi = X(x) Y(y)
-        eta[j, 0] = np.outer(X, dY)
-        eta[j, 1] = -np.outer(dX, Y)
-        deta[j, 0, 0] = np.outer(dX, dY)
-        deta[j, 0, 1] = np.outer(X, d2Y)
-        deta[j, 1, 0] = -np.outer(d2X, Y)
-        deta[j, 1, 1] = -np.outer(dX, dY)
-    # the clamped profiles vanish on the walls analytically; pin the nodal
-    # values to exact zero so no-slip is not limited by cosine round-off
-    eta[:, :, 0, :] = 0.0
-    eta[:, :, -1, :] = 0.0
-    eta[:, :, :, 0] = 0.0
-    eta[:, :, :, -1] = 0.0
-    return StreamBasis(grid, n_modes, pairs, eta, deta)
+    X = _clamped_profiles(max(p for p, _ in pairs), grid.x, grid.Lx)
+    Y = _clamped_profiles(max(q for _, q in pairs), grid.y, grid.Ly)
+    # the clamped profiles and their first derivatives vanish on the walls
+    # analytically; pin the nodal values that form the velocity to exact
+    # zero so no-slip is not limited by cosine round-off
+    X_wall, Y_wall = X[:2].copy(), Y[:2].copy()
+    for table in (X_wall, Y_wall):
+        table[:, :, 0] = 0.0
+        table[:, :, -1] = 0.0
+    return StreamBasis(grid, n_modes, pairs, X, Y, X_wall, Y_wall)
 
 
 def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray) -> VectorField:
@@ -123,33 +154,49 @@ def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray) -> VectorField:
         raise ValueError(f"expected {basis.n_modes} coefficients, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    shape = basis.eta.shape[-2:]
-    vel = (c @ basis.eta.reshape(basis.n_modes, -1)).reshape((2,) + shape)
-    dvel = (c @ basis.deta.reshape(basis.n_modes, -1)).reshape((4,) + shape)
-    return VectorField(basis.grid, vel[0], vel[1], dvel[0], dvel[1], dvel[2], dvel[3])
+    C = np.zeros((basis.X.shape[1], basis.Y.shape[1]))
+    C[basis.p, basis.q] = c
+    X, dX, d2X = basis.X
+    Y, dY, d2Y = basis.Y
+    (Xw, dXw), (Yw, dYw) = basis.X_wall, basis.Y_wall
+    # eta = (psi_y, -psi_x) with psi = sum_j c_j X_{p_j}(x) Y_{q_j}(y)
+    du_dx = dX.T @ (C @ dY)
+    return VectorField(basis.grid, Xw.T @ (C @ dYw), -(dXw.T @ (C @ Yw)),
+                       du_dx, X.T @ (C @ d2Y), -(d2X.T @ (C @ Y)), -du_dx)
 
 
-def _flat(basis: StreamBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Views eta (n, 2, P) and deta (n, 4, P) over the P grid nodes; the
-    deta components are ordered d_x eta_0, d_y eta_0, d_x eta_1, d_y eta_1."""
-    n = basis.n_modes
-    return basis.eta.reshape(n, 2, -1), basis.deta.reshape(n, 4, -1)
+def _contract(basis: StreamBasis, W: np.ndarray, A: np.ndarray, B: np.ndarray,
+              C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """K_ij = sum_xy W A[p_i] B[q_i] C[p_j] D[q_j] for nodal weights W
+    (Nx, Ny), x tables A, C (P, Nx) and y tables B, D (Q, Ny).
+
+    y is contracted first, (Nx x Ny) (Ny x Q^2), then x, (P^2 x Nx)
+    (Nx x Q^2); the n x n entries are gathered from the (P^2, Q^2)
+    result at (p_i, p_j, q_i, q_j)."""
+    P, Q = A.shape[0], B.shape[0]
+    T = W @ (B[:, None] * D[None, :]).reshape(Q * Q, -1).T
+    R = (A[:, None] * C[None, :]).reshape(P * P, -1) @ T
+    p, q = basis.p, basis.q
+    return R.reshape(P, P, Q, Q)[p[:, None], p[None, :], q[:, None], q[None, :]]
 
 
-def _weighted_gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G_ij = sum_k F[i,k] w[k] F[j,k] for F (n, P) and weights w >= 0, as
-    the rank-k update H H^T with H = F sqrt(w); exactly symmetric."""
-    H = F * np.sqrt(w)
-    return H @ H.T
+def _mirror_upper(K: np.ndarray) -> np.ndarray:
+    """K with its strict lower triangle replaced by the upper one, so a
+    matrix symmetric up to round-off becomes exactly symmetric."""
+    i, j = np.tril_indices_from(K, -1)
+    K[i, j] = K[j, i]
+    return K
 
 
 def assemble_weighted_gram(basis: StreamBasis, rho: ScalarField) -> np.ndarray:
     """M_ij = int rho eta_i . eta_j dx; SPD whenever rho is bounded below."""
     if np.any(rho.values < 0):
         raise ValueError("rho must be non-negative for a definite mass matrix")
-    w = (basis.grid.quad_weights() * rho.values).ravel()
-    eta, _ = _flat(basis)
-    return _weighted_gram(eta[:, 0], w) + _weighted_gram(eta[:, 1], w)
+    w = basis.grid.quad_weights() * rho.values
+    (X, dX), (Y, dY) = basis.X_wall, basis.Y_wall
+    M = _contract(basis, w, X, dY, X, dY)
+    M += _contract(basis, w, dX, Y, dX, Y)
+    return _mirror_upper(M)
 
 
 def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> np.ndarray:
@@ -157,23 +204,27 @@ def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> n
                     + eps grad eta_i : grad eta_j ) dx.
 
     Every mode is divergence free with d_y eta_1 = -d_x eta_0 exactly, so
-    with a = d_x eta_0 and s = d_y eta_0 + d_x eta_1
+    with a = d_x eta_0 = X'Y' and s = d_y eta_0 + d_x eta_1 = XY'' - X''Y
 
-        sym(grad eta_i) : sym(grad eta_j) = 8 a_i a_j + 2 s_i s_j,
+        sym(grad eta_i) : sym(grad eta_j) = 8 a_i a_j + 2 s_i s_j.
 
-    which takes two weighted Gram matrices.  The eps term depends on the
-    basis alone and is cached there (`grad_gram`).
+    The s s term is two squares and a cross term K with its transpose, so
+    A takes four contractions.  The eps term depends on the basis alone
+    and is cached there (`grad_gram`).
     """
     if np.any(mu_field.values < 0) or eps < 0:
         raise ValueError("viscosity field and eps must be non-negative")
-    w = (basis.grid.quad_weights() * mu_field.values).ravel()
-    _, d = _flat(basis)
-    A = _weighted_gram(d[:, 0], w)
+    w = basis.grid.quad_weights() * mu_field.values
+    X, dX, d2X = basis.X
+    Y, dY, d2Y = basis.Y
+    A = _contract(basis, w, dX, dY, dX, dY)
     A *= 4.0
-    # H = s sqrt(w) formed in place, so s is the only slab alive
-    H = d[:, 1] + d[:, 2]
-    H *= np.sqrt(w)
-    A += H @ H.T
+    A += _contract(basis, w, X, d2Y, X, d2Y)
+    A += _contract(basis, w, d2X, Y, d2X, Y)
+    K = _contract(basis, w, X, d2Y, d2X, Y)
+    A -= K
+    A -= K.T
+    A = _mirror_upper(A)
     if eps > 0:
         A += eps * basis.grad_gram
     return A
@@ -187,20 +238,18 @@ def assemble_advection_matrix(basis: StreamBasis, rho: ScalarField,
                                - (u . grad) eta_i . eta_j ] dx.
 
     Exact skew symmetry makes the advection energy-neutral for any
-    coefficient vector it acts on.  Per component a and block of
-    ADVECTION_BLOCK nodes, the convective field (u . grad) eta_{j,a} is
-    formed node by node and C_ij = int rho eta_i . (u . grad) eta_j gains
-    one GEMM, so its temporaries stay a fraction of one (n, P) slab.
+    coefficient vector it acts on.  C_ij = int rho eta_i . (u . grad)
+    eta_j takes one contraction per velocity and eta component: with
+    eta = (X Y', -X' Y) and the gradients (X'Y', XY'') and (-X''Y, -X'Y'),
+    the weights are rho u and rho v.
     """
-    w = (basis.grid.quad_weights() * rho.values).ravel()
-    u, v = u_field.u.ravel(), u_field.v.ravel()
-    eta, d = _flat(basis)
-    n = basis.n_modes
-    C = np.zeros((n, n))
-    for k in range(0, w.size, ADVECTION_BLOCK):
-        blk = slice(k, k + ADVECTION_BLOCK)
-        for a in range(2):
-            conv = d[:, 2 * a, blk] * u[blk]
-            conv += d[:, 2 * a + 1, blk] * v[blk]
-            C += (eta[:, a, blk] * w[blk]) @ conv.T
+    w = basis.grid.quad_weights() * rho.values
+    wu, wv = w * u_field.u, w * u_field.v
+    X, dX, d2X = basis.X
+    Y, dY, d2Y = basis.Y
+    (Xw, dXw), (Yw, dYw) = basis.X_wall, basis.Y_wall
+    C = _contract(basis, wu, Xw, dYw, dX, dY)
+    C += _contract(basis, wv, Xw, dYw, X, d2Y)
+    C += _contract(basis, wu, dXw, Yw, d2X, Y)
+    C += _contract(basis, wv, dXw, Yw, dX, dY)
     return 0.5 * (C - C.T)

@@ -11,6 +11,7 @@ subcommand returns only 0 or 4 itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -36,12 +37,20 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _output_dir(args) -> str:
-    out = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
+@contextlib.contextmanager
+def _writing_output():
+    """Turn an OSError from creating or writing the output into a
+    ConfigError carrying the OS message, so it exits 2 like bad input."""
     try:
-        os.makedirs(out, exist_ok=True)
+        yield
     except OSError as exc:
         raise ConfigError([str(exc)]) from exc
+
+
+def _output_dir(args) -> str:
+    out = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
+    with _writing_output():
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -49,12 +58,13 @@ def cmd_run(args) -> int:
     config = parse_config(args.config)
     out = _output_dir(args)
     traj = run_simulation(config)
-    write_diagnostics_csv(traj.records, os.path.join(out, "diagnostics.csv"))
-    for i, state in enumerate(traj.states):
-        if i % config.output_every == 0 or i == len(traj.states) - 1:
-            stem = os.path.join(out, f"snapshot_{i:05d}")
-            write_snapshot(stem + "_rho.txt", state.rho, state.t, "rho")
-            write_snapshot(stem + "_theta.txt", state.theta, state.t, "theta")
+    with _writing_output():
+        write_diagnostics_csv(traj.records, os.path.join(out, "diagnostics.csv"))
+        for i, state in enumerate(traj.states):
+            if i % config.output_every == 0 or i == len(traj.states) - 1:
+                stem = os.path.join(out, f"snapshot_{i:05d}")
+                write_snapshot(stem + "_rho.txt", state.rho, state.t, "rho")
+                write_snapshot(stem + "_theta.txt", state.theta, state.t, "theta")
     rec = traj.records[-1]
     print("[summary]")
     print(f"steps = {len(traj.states) - 1}")
@@ -111,7 +121,7 @@ def cmd_sweep(args) -> int:
     if report["error"]:
         lines.append(f"aborted = {report['error']}")
     text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "sweep_report.txt"), "w") as fh:
+    with _writing_output(), open(os.path.join(out, "sweep_report.txt"), "w") as fh:
         fh.write(text)
     print(text, end="")
     if report["error"]:

@@ -81,6 +81,15 @@ def test_reconstruct_homogeneous(basis):
     assert np.allclose(u3.v, 3.0 * u1.v, atol=1e-13)
 
 
+def test_reconstructed_velocity_vanishes_on_walls(basis):
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        u = reconstruct_velocity(basis, rng.standard_normal(basis.n_modes))
+        for comp in (u.u, u.v):
+            for wall in (comp[0, :], comp[-1, :], comp[:, 0], comp[:, -1]):
+                assert np.all(wall == 0.0)
+
+
 def test_reconstructed_divergence_tiny(basis):
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -142,8 +151,8 @@ def test_assembled_matrices_symmetric(basis):
     rho = ScalarField(basis.grid, 1.0 + rng.random(basis.grid.shape))
     mu = ScalarField(basis.grid, rng.random(basis.grid.shape))
     for mat in (assemble_weighted_gram(basis, rho),
-                assemble_viscous(basis, mu, 0.1)):
-        assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
+                assemble_viscous(basis, mu, 0.1), basis.grad_gram):
+        assert np.array_equal(mat, mat.T)
 
 
 def test_advection_matrix_exactly_skew(basis):
@@ -154,39 +163,93 @@ def test_advection_matrix_exactly_skew(basis):
     assert np.array_equal(B, -B.T)
 
 
-# Direct einsum forms of the Galerkin integrals, kept here as an oracle
-# for the weighted-GEMM assembly in nsfourier.basis.
+# Dense forms of the basis and of the Galerkin integrals, kept here as
+# an oracle for the sum-factorized kernels in nsfourier.basis.  The
+# tables are built mode by mode from the clamped profiles, independently
+# of the basis' own dense `eta` and `deta`.
 
-def _oracle_gram(basis, rho):
-    w = basis.grid.quad_weights() * rho.values
-    return np.einsum("iaxy,jaxy,xy->ij", basis.eta, basis.eta, w)
+def _profile(p, s, L):
+    k1, k2 = (p - 1) * np.pi / L, (p + 1) * np.pi / L
+    return (np.cos(k1 * s) - np.cos(k2 * s),
+            -k1 * np.sin(k1 * s) + k2 * np.sin(k2 * s),
+            -k1 ** 2 * np.cos(k1 * s) + k2 ** 2 * np.cos(k2 * s))
 
 
-def _oracle_viscous(basis, mu, eps):
-    w = basis.grid.quad_weights()
-    sym = basis.deta + np.swapaxes(basis.deta, 1, 2)
+def _dense_tables(grid, n_modes):
+    eta = np.empty((n_modes, 2) + grid.shape)
+    deta = np.empty((n_modes, 2, 2) + grid.shape)
+    for j, (p, q) in enumerate(mode_wavenumbers(n_modes)):
+        X, dX, d2X = _profile(p, grid.x, grid.Lx)
+        Y, dY, d2Y = _profile(q, grid.y, grid.Ly)
+        eta[j, 0] = np.outer(X, dY)
+        eta[j, 1] = -np.outer(dX, Y)
+        deta[j, 0, 0] = np.outer(dX, dY)
+        deta[j, 0, 1] = np.outer(X, d2Y)
+        deta[j, 1, 0] = -np.outer(d2X, Y)
+        deta[j, 1, 1] = -np.outer(dX, dY)
+    eta[:, :, 0, :] = 0.0
+    eta[:, :, -1, :] = 0.0
+    eta[:, :, :, 0] = 0.0
+    eta[:, :, :, -1] = 0.0
+    return eta, deta
+
+
+def _oracle_gram(grid, tables, rho):
+    eta, _ = tables
+    w = grid.quad_weights() * rho.values
+    return np.einsum("iaxy,jaxy,xy->ij", eta, eta, w)
+
+
+def _oracle_grad_gram(grid, tables):
+    _, deta = tables
+    return np.einsum("iabxy,jabxy,xy->ij", deta, deta, grid.quad_weights())
+
+
+def _oracle_viscous(grid, tables, mu, eps):
+    _, deta = tables
+    w = grid.quad_weights()
+    sym = deta + np.swapaxes(deta, 1, 2)
     A = np.einsum("iabxy,jabxy,xy->ij", sym, sym, 0.5 * w * mu.values)
-    A += eps * np.einsum("iabxy,jabxy,xy->ij", basis.deta, basis.deta, w)
+    A += eps * _oracle_grad_gram(grid, tables)
     return A
 
 
-def _oracle_advection_matrix(basis, rho, u):
-    w = basis.grid.quad_weights() * rho.values
+def _oracle_advection_matrix(grid, tables, rho, u):
+    eta, deta = tables
+    w = grid.quad_weights() * rho.values
     uu = np.stack([u.u, u.v])
-    conv = np.einsum("bxy,jabxy->jaxy", uu, basis.deta)
-    C = np.einsum("iaxy,jaxy,xy->ij", basis.eta, conv, w)
+    conv = np.einsum("bxy,jabxy->jaxy", uu, deta)
+    C = np.einsum("iaxy,jaxy,xy->ij", eta, conv, w)
     return 0.5 * (C - C.T)
+
+
+def _oracle_velocity(tables, c):
+    eta, deta = tables
+    vel = np.einsum("j,jaxy->axy", c, eta)
+    dvel = np.einsum("j,jabxy->abxy", c, deta)
+    return (vel[0], vel[1], dvel[0, 0], dvel[0, 1], dvel[1, 0], dvel[1, 1])
+
+
+def _case(grid, n_modes, seed):
+    small = build_basis(grid, n_modes)
+    X, Y = grid.nodes()
+    rho = ScalarField(grid, 1.0 + 0.4 * np.sin(2.0 * X) * np.cos(3.0 * Y))
+    mu = ScalarField(grid, 0.2 + X ** 2 + 0.5 * Y)
+    c = np.random.default_rng(seed).standard_normal(n_modes)
+    return small, _dense_tables(grid, n_modes), rho, mu, c
 
 
 @pytest.fixture(scope="module")
 def oracle_case():
-    grid = Grid(nx=24, ny=20)
-    small = build_basis(grid, 10)
-    X, Y = grid.nodes()
-    rho = ScalarField(grid, 1.0 + 0.4 * np.sin(2.0 * X) * np.cos(3.0 * Y))
-    mu = ScalarField(grid, 0.2 + X ** 2 + 0.5 * Y)
-    u = reconstruct_velocity(small, np.random.default_rng(8).standard_normal(10))
-    return small, rho, mu, u
+    return _case(Grid(nx=24, ny=20), 10, 8)
+
+
+@pytest.fixture(scope="module")
+def anisotropic_case():
+    # nx != ny, Lx != Ly, and the 7 modes reach P = 3 in x and Q = 4 in y
+    case = _case(Grid(nx=30, ny=22, Lx=1.3, Ly=0.7), 7, 10)
+    assert (case[0].X.shape[1], case[0].Y.shape[1]) == (3, 4)
+    return case
 
 
 def _rel_err(a, b):
@@ -197,31 +260,75 @@ def test_divergence_free_gradient_identity(basis):
     assert np.array_equal(basis.deta[:, 1, 1], -basis.deta[:, 0, 0])
 
 
+def test_dense_tables_match_the_mode_loop(oracle_case, anisotropic_case):
+    for small, (eta, deta), *_ in (oracle_case, anisotropic_case):
+        assert np.array_equal(small.eta, eta)
+        assert np.array_equal(small.deta, deta)
+
+
+def _check_kernel(name, case):
+    """Compare one kernel with its einsum oracle on an oracle case."""
+    small, tables, rho, mu, c = case
+    grid = small.grid
+    u = reconstruct_velocity(small, c)
+    if name == "gram":
+        got, ref = [assemble_weighted_gram(small, rho)], [_oracle_gram(grid, tables, rho)]
+    elif name == "grad_gram":
+        got, ref = [small.grad_gram], [_oracle_grad_gram(grid, tables)]
+    elif name.startswith("viscous"):
+        eps = float(name.split("-")[1])
+        got = [assemble_viscous(small, mu, eps)]
+        ref = [_oracle_viscous(grid, tables, mu, eps)]
+    elif name == "advection":
+        got = [assemble_advection_matrix(small, rho, u)]
+        ref = [_oracle_advection_matrix(grid, tables, rho, u)]
+    else:
+        got = [u.u, u.v, u.du_dx, u.du_dy, u.dv_dx, u.dv_dy]
+        ref = _oracle_velocity(tables, c)
+    for a, b in zip(got, ref, strict=True):
+        assert _rel_err(a, b) <= 1e-13
+
+
 def test_gram_matches_einsum_oracle(oracle_case):
-    small, rho, _, _ = oracle_case
-    assert _rel_err(assemble_weighted_gram(small, rho),
-                    _oracle_gram(small, rho)) <= 1e-13
+    _check_kernel("gram", oracle_case)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_viscous_matches_einsum_oracle(oracle_case, eps):
-    small, _, mu, _ = oracle_case
-    assert _rel_err(assemble_viscous(small, mu, eps),
-                    _oracle_viscous(small, mu, eps)) <= 1e-13
+    _check_kernel(f"viscous-{eps}", oracle_case)
 
 
 def test_advection_matrix_matches_einsum_oracle(oracle_case):
-    small, rho, _, u = oracle_case
-    assert _rel_err(assemble_advection_matrix(small, rho, u),
-                    _oracle_advection_matrix(small, rho, u)) <= 1e-13
+    _check_kernel("advection", oracle_case)
 
 
-def test_advection_matrix_is_independent_of_its_node_blocks(oracle_case,
-                                                            monkeypatch):
-    import nsfourier.basis as basis_module
+@pytest.mark.parametrize("name", ["grad_gram", "velocity"])
+def test_kernel_matches_einsum_oracle(oracle_case, name):
+    _check_kernel(name, oracle_case)
 
-    small, rho, _, u = oracle_case
-    # 525 nodes: five blocks of 100 and a last one of 25
-    monkeypatch.setattr(basis_module, "ADVECTION_BLOCK", 100)
-    assert _rel_err(assemble_advection_matrix(small, rho, u),
-                    _oracle_advection_matrix(small, rho, u)) <= 1e-13
+
+@pytest.mark.parametrize("name", ["gram", "grad_gram", "viscous-0.0",
+                                  "viscous-0.3", "advection", "velocity"])
+def test_anisotropic_kernel_matches_einsum_oracle(anisotropic_case, name):
+    _check_kernel(name, anisotropic_case)
+
+
+def test_verifiers_never_build_the_dense_tables():
+    # the solver and every verifier work on the 1-D profile tables; the
+    # dense (n, ., Nx, Ny) tables are for checks only
+    from nsfourier.coefficients import RenormFunction
+    from nsfourier.coupler import run_simulation
+    from nsfourier.degiorgi import ladder_run
+    from nsfourier.diagnostics import (SeparableTestFunction, apriori_monitor,
+                                       check_energy_inequality, renorm_report)
+
+    config = RunConfig(t_final=0.03)
+    traj = run_simulation(config)
+    check_energy_inequality(traj, config.delta, config.eps)
+    apriori_monitor(traj)
+    ladder_run(traj, theta_floor=config.theta_floor)
+    renorm_report(traj, RenormFunction.power(1.0),
+                  SeparableTestFunction(traj.grid, traj.final.t),
+                  config.delta, traj.laws)
+    assert "eta" not in vars(traj.basis)
+    assert "deta" not in vars(traj.basis)

@@ -18,13 +18,18 @@ import pytest
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer_wrapped():
-    """The (module, attribute) pairs bench/tracer.py wraps."""
+def _tracer():
+    """bench/tracer.py as a module."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attr, _ in tracer.WRAPPED]
+    return tracer
+
+
+def _tracer_wrapped():
+    """The (module, attribute) pairs bench/tracer.py wraps."""
+    return [(module, attr) for module, attr, _ in _tracer().WRAPPED]
 
 
 def _tracer_paths():
@@ -189,3 +194,25 @@ def test_step_temperature_calls_cg_and_splu_through_scipy(monkeypatch):
                      0.01, 0.01, RunConfig().laws())
     assert calls[0] == "splu"
     assert "cg" in calls
+
+
+def test_tracer_assembly_work_reads_a_built_basis():
+    # the tracer costs every assembly call from the attributes of its
+    # basis argument before the call, so a basis attribute it reads that
+    # goes away breaks every `--trace 1` run
+    import numpy as np
+
+    from nsfourier.basis import build_basis, reconstruct_velocity
+    from nsfourier.grid import Grid, ScalarField
+
+    tracer = _tracer()
+    basis = build_basis(Grid(nx=12, ny=10), 4)
+    rho = ScalarField.constant(basis.grid, 1.0)
+    u = reconstruct_velocity(basis, np.ones(basis.n_modes))
+    args = {"basis.assemble_weighted_gram": (basis, rho),
+            "basis.assemble_viscous": (basis, rho, 0.1),
+            "basis.assemble_advection_matrix": (basis, rho, u)}
+    assert set(args) == set(tracer.ASSEMBLY)
+    for name in tracer.ASSEMBLY:
+        flop, byte = tracer.assembly_work(name, args[name])
+        assert flop > 0 and byte > 0

@@ -298,6 +298,21 @@ def test_an_output_dir_under_a_file_is_rejected_before_any_run(
         f"error: parse: [Errno 20] Not a directory: '{out}'\n")
 
 
+@pytest.mark.parametrize("command, name", [("run", "diagnostics.csv"),
+                                           ("sweep", "sweep_report.txt")])
+def test_an_unwritable_output_file_exits_2(command, name, config_path,
+                                           tmp_path, capsys):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("6 1e-2 1e-2\n")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = {"run": ["run", config_path],
+            "sweep": ["sweep", config_path, "--schedule", str(schedule)]}
+    assert main(args[command] + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: parse: [Errno 21] Is a directory: '{out / name}'\n")
+
+
 def test_sweep_exits_3_after_reporting_a_failed_run(config_path, tmp_path,
                                                     capsys, monkeypatch):
     schedule = tmp_path / "schedule.txt"
