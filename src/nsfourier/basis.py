@@ -23,8 +23,9 @@ is sum-factorized: one GEMM contracts y for every pair (q_i, q_j), a
 second contracts x for every pair (p_i, p_j), and the n x n entries are
 gathered from the (P^2, Q^2) result.  The cost is
 O(Nx Ny Q^2 + Nx P^2 Q^2) instead of O(n^2 Nx Ny), and no (n, Nx, Ny)
-table is formed.  The dense tables `eta` and `deta` remain available
-for checking, built on first access.
+table is formed.  The dense mode table `eta` is built on first access
+and only for readers outside the solver: `bench/tracer.py:assembly_work`
+reads its shape, and acceptance criterion 2 checks its wall values.
 """
 
 from __future__ import annotations
@@ -111,21 +112,8 @@ class StreamBasis:
         """Dense (n, 2, Nx, Ny) mode velocities, built on first access for
         checks and tools; the solver never reads it."""
         (X, dX), (Y, dY) = self.X_wall[:, self.p], self.Y_wall[:, self.q]
-        return np.stack([_outer(X, dY), -_outer(dX, Y)], axis=1)
-
-    @cached_property
-    def deta(self) -> np.ndarray:
-        """Dense (n, 2, 2, Nx, Ny) mode gradients, deta[j, a, b] = d_b
-        eta_a, built on first access like `eta`."""
-        (X, dX, d2X), (Y, dY, d2Y) = self.X[:, self.p], self.Y[:, self.q]
-        a = _outer(dX, dY)
-        return np.stack([np.stack([a, _outer(X, d2Y)], axis=1),
-                         np.stack([-_outer(d2X, Y), -a], axis=1)], axis=1)
-
-
-def _outer(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise outer products: (n, Nx) x (n, Ny) -> (n, Nx, Ny)."""
-    return A[:, :, None] * B[:, None, :]
+        return np.stack([X[:, :, None] * dY[:, None, :],
+                         -dX[:, :, None] * Y[:, None, :]], axis=1)
 
 
 def build_basis(grid: Grid, n_modes: int) -> StreamBasis:

@@ -24,8 +24,6 @@ from .diagnostics import write_diagnostics_csv
 from .errors import ConfigError, RunError, SolverError
 from .grid import write_snapshot
 
-OUTPUT_DIR_ENV = "NSFOURIER_OUTPUT_DIR"
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_RUN = 3
@@ -48,10 +46,9 @@ def _writing_output():
 
 
 def _output_dir(args) -> str:
-    out = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
     with _writing_output():
-        os.makedirs(out, exist_ok=True)
-    return out
+        os.makedirs(args.output_dir, exist_ok=True)
+    return args.output_dir
 
 
 def cmd_run(args) -> int:

@@ -156,8 +156,8 @@ class RenormFunction:
     @classmethod
     def power(cls, l: float) -> "RenormFunction":
         """h(z) = (1+z)^(-l).  Admissible exactly for l in (0, 1]."""
-        if l <= 0:
-            raise ValueError("power exponent must be positive")
+        if not 0 < l < math.inf:
+            raise ValueError("power exponent must be positive and finite")
         return cls(
             form="power",
             h=lambda z: (1.0 + z) ** (-l),
@@ -169,8 +169,8 @@ class RenormFunction:
     @classmethod
     def truncated_log(cls, omega: float, cutoff: float) -> "RenormFunction":
         """h(z) = 1/(z+omega) on {z+omega <= cutoff}, zero beyond."""
-        if omega <= 0 or cutoff <= omega:
-            raise ValueError("need 0 < omega < cutoff")
+        if not 0 < omega < cutoff < math.inf:
+            raise ValueError("need 0 < omega < cutoff < inf")
 
         def ind(z):
             return np.asarray(z) + omega <= cutoff
@@ -240,6 +240,8 @@ def eval_K_h(h: RenormFunction, law: ConductivityLaw, theta):
 def check_h_admissible(h: RenormFunction, z_max: float, n_samples: int) -> dict:
     """Check 0 < h(0) < infty, decay, monotonicity, and the pointwise
     condition h'' h >= 2 (h')^2 on an equispaced sample grid."""
+    if not 0 < z_max < math.inf:
+        raise ValueError("need 0 < z_max < inf")
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
     if h.dh is None or h.d2h is None:

@@ -8,6 +8,7 @@ round-trips: ``parse_config_text(serialize_config(c)) == c``;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from .basis import resolution_problem
@@ -56,7 +57,10 @@ class RunConfig:
     m0_amplitude: float = 1e-4
 
     def validate(self) -> list[str]:
-        problems = []
+        # every comparison below is False for NaN, and an infinite length
+        # or time passes them, so each float is first checked to be finite
+        problems = [f"{name} must be finite" for name, attr in _FLOAT_KEYS
+                    if not math.isfinite(getattr(self, attr))]
         if self.nx < 4 or self.ny < 4:
             problems.append("grid.nx and grid.ny must be at least 4")
         if self.Lx <= 0 or self.Ly <= 0:
@@ -122,6 +126,9 @@ _SCHEMA = {
                 "theta_amp": ("theta_amp", float), "theta_floor": ("theta_floor", float),
                 "m0_mode": ("m0_mode", int), "m0_amplitude": ("m0_amplitude", float)},
 }
+# (section.key, attribute) of every float field
+_FLOAT_KEYS = [(f"{section}.{key}", attr) for section, keys in _SCHEMA.items()
+               for key, (attr, typ) in keys.items() if typ is float]
 
 
 def read_text(path) -> str:

@@ -12,6 +12,7 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +37,11 @@ class DeGiorgiLadder:
     levels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
+        # written so that NaN fails each guard
+        if not 0 < self.M < math.inf:
+            raise ValueError("M must be positive and finite")
+        if not 0 <= self.omega < math.inf:
+            raise ValueError("omega must be non-negative and finite")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         k = np.arange(self.k_max + 1)
@@ -56,16 +58,17 @@ class Lemma62Params:
     U0: float
 
     def __post_init__(self):
-        if self.C < 0:
-            raise ValueError("C must be non-negative")
-        if self.A < 1:
-            raise ValueError("A must be at least 1")
-        if not (1.0 < self.beta1 < self.beta2):
-            raise ValueError("exponents must satisfy 1 < beta1 < beta2")
-        if self.K <= 0:
-            raise ValueError("K must be positive")
-        if self.U0 < 0:
-            raise ValueError("U0 must be non-negative")
+        # written so that NaN fails each guard
+        if not 0 <= self.C < math.inf:
+            raise ValueError("C must be non-negative and finite")
+        if not 1 <= self.A < math.inf:
+            raise ValueError("A must be at least 1 and finite")
+        if not 1.0 < self.beta1 < self.beta2 < math.inf:
+            raise ValueError("exponents must satisfy 1 < beta1 < beta2 < inf")
+        if not 0 < self.K < math.inf:
+            raise ValueError("K must be positive and finite")
+        if not 0 <= self.U0 < math.inf:
+            raise ValueError("U0 must be non-negative and finite")
 
 
 def truncation_phi(theta, C_k: float, omega: float = 0.0):
@@ -148,8 +151,8 @@ def build_ladder(theta_floor: float, k_max: int = 8, omega: float = 0.0,
     The default M = 2 ln(1/theta_floor) + ln 4 puts exp(-M/2) =
     theta_floor/2 strictly below the initial floor; pass M to override.
     """
-    if theta_floor <= 0:
-        raise ValueError("theta_floor must be positive")
+    if not 0 < theta_floor < math.inf:
+        raise ValueError("theta_floor must be positive and finite")
     if M is None:
         M = 2.0 * float(np.log(1.0 / theta_floor)) + float(np.log(4.0))
     return DeGiorgiLadder(M=M, omega=omega, k_max=k_max)

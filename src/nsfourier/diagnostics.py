@@ -104,39 +104,40 @@ def energy_slack(total_new: float, total_old: float, sinks: dict) -> float:
             + sinks["delta_dissipation"] - total_old)
 
 
+def _records(traj: Trajectory) -> list:
+    """The run's `DiagnosticsRecord`s, the one source of the per-state
+    energies and norms the verifiers read; raises ValueError unless there
+    is exactly one record per stored state, at that state's time."""
+    if not traj.states:
+        raise ValueError("empty trajectory")
+    records = traj.records
+    if len(records) != len(traj.states) or any(
+            rec.time != s.t for rec, s in zip(records, traj.states)):
+        raise ValueError(
+            f"{len(records)} records do not match the trajectory's "
+            f"{len(traj.states)} states one to one in time")
+    return records
+
+
 def check_energy_inequality(traj: Trajectory, delta: float, eps: float) -> dict:
     """Total energy inequality per step:
 
         E(t_{m+1}) + dt [ eps |grad u|^2 + delta theta^3 + delta S:grad u ]
             <= E(t_m) + threshold.
 
+    The left side minus E(t_m) is each step's record's `energy_slack`.
     delta and eps must be the trajectory's own; the check reads those.
     """
-    if not traj.states:
-        raise ValueError("empty trajectory")
+    records = _records(traj)
     traj.require_params(delta=delta, eps=eps)
-
-    def total(state, u):
-        rep = energy_report(traj, state, u)
-        return rep["kinetic_energy"] + rep["thermal_energy"]
-
-    # one pass, one velocity alive at a time: step m -> m+1 needs only the
-    # velocity of state m+1
-    states = traj.states
-    total_old = total_0 = total(states[0], states[0].velocity(traj.basis))
     worst = -np.inf
     worst_step = -1
-    for m in range(len(states) - 1):
-        u1 = states[m + 1].velocity(traj.basis)
-        total_new = total(states[m + 1], u1)
-        diss = dissipation_field(states[m].viscosity(traj.laws), u1)
-        violation = energy_slack(total_new, total_old,
-                                 step_sinks(traj, m, u1, diss))
-        if violation > worst:
-            worst = violation
+    for m, rec in enumerate(records[1:]):
+        if rec.energy_slack > worst:
+            worst = rec.energy_slack
             worst_step = m
-        total_old = total_new
-    threshold = ENERGY_SLACK_FACTOR * total_0
+    threshold = ENERGY_SLACK_FACTOR * (records[0].kinetic_energy
+                                       + records[0].thermal_energy)
     return {
         "max_violation": float(worst),
         "worst_step": worst_step,
@@ -249,30 +250,19 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
 
 
 def apriori_monitor(traj: Trajectory) -> dict:
-    """Maxima over the run of the a priori bound quantities."""
-    if not traj.states:
-        raise ValueError("empty trajectory")
+    """Maxima over the run of the a priori bound quantities.  The velocity
+    and energy quantities come from the run's records; only the theta/rho
+    integrals the records lack are computed here."""
+    records = _records(traj)
     grid = traj.grid
     times = traj.times
-    u_h1_sq, th_h1_sq, th_l3, pow_sq, sink_dense = [], [], [], [], []
-    rho_linf = 0.0
-    sqrt_rho_u = 0.0
+    pow_sq, sink_dense = [], []
     rho_theta_l1 = 0.0
     for s in traj.states:
-        u = s.velocity(traj.basis)
-        speed2 = u.speed_sq()
-        rho_linf = max(rho_linf, s.rho.max())
-        sqrt_rho_u = max(sqrt_rho_u, float(
-            np.sqrt(max(integrate_values(grid, s.rho.values * speed2), 0.0))))
         rho_theta_l1 = max(rho_theta_l1,
                            integrate_values(grid, s.rho.values * s.theta.values))
-        u_h1_sq.append(integrate_values(grid, speed2 + u.grad_sq()))
-        th_h1_sq.append(h1_sq_values(grid, s.theta.values))
-        th_l3.append(integrate_values(grid, s.theta.values ** 3))
-        row = []
-        for l in APRIORI_L_VALUES:
-            row.append(h1_sq_values(grid, s.theta.values ** (0.5 * (3.0 - l))))
-        pow_sq.append(row)
+        pow_sq.append([h1_sq_values(grid, s.theta.values ** (0.5 * (3.0 - l)))
+                       for l in APRIORI_L_VALUES])
         sink_dense.append(integrate_values(
             grid, s.theta.values ** 3 * (s.rho.values >= DENSE_SET_OMEGA)))
 
@@ -280,11 +270,15 @@ def apriori_monitor(traj: Trajectory) -> dict:
         return float(np.sqrt(max(np.trapezoid(series, times), 0.0)))
 
     out = {
-        "rho_Linf": rho_linf,
-        "u_L2H1": time_l2(u_h1_sq),
-        "theta_L2H1": time_l2(th_h1_sq),
-        "theta_L3_spacetime": float(np.trapezoid(th_l3, times)) ** (1.0 / 3.0),
-        "sqrt_rho_u_LinfL2": sqrt_rho_u,
+        "rho_Linf": max(rec.rho_max for rec in records),
+        "u_L2H1": time_l2([rec.u_H1 ** 2 for rec in records]),
+        "theta_L2H1": time_l2([rec.theta_H1 ** 2 for rec in records]),
+        "theta_L3_spacetime": float(np.trapezoid(
+            [rec.theta_L3 ** 3 for rec in records], times)) ** (1.0 / 3.0),
+        # kinetic_energy is half the integral of rho |u|^2, so doubling
+        # it is exact
+        "sqrt_rho_u_LinfL2": float(np.sqrt(2.0 * max(
+            0.0, *(rec.kinetic_energy for rec in records)))),
         "rho_theta_LinfL1": rho_theta_l1,
         "sink_on_dense_set": float(np.trapezoid(sink_dense, times)),
     }

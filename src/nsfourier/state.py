@@ -30,6 +30,12 @@ class FluidState:
 
 @dataclass
 class Trajectory:
+    """The stored states of a run and its `DiagnosticsRecord`s.
+
+    `records` holds exactly one record per state, at the state's time:
+    `run_simulation` appends both together, and the energy check and the
+    a priori monitor read every per-state energy and norm from the
+    records, rejecting a trajectory whose records do not line up."""
     grid: Grid
     basis: StreamBasis
     laws: Laws

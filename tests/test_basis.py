@@ -166,7 +166,7 @@ def test_advection_matrix_exactly_skew(basis):
 # Dense forms of the basis and of the Galerkin integrals, kept here as
 # an oracle for the sum-factorized kernels in nsfourier.basis.  The
 # tables are built mode by mode from the clamped profiles, independently
-# of the basis' own dense `eta` and `deta`.
+# of the basis' own dense `eta`.
 
 def _profile(p, s, L):
     k1, k2 = (p - 1) * np.pi / L, (p + 1) * np.pi / L
@@ -257,13 +257,14 @@ def _rel_err(a, b):
 
 
 def test_divergence_free_gradient_identity(basis):
-    assert np.array_equal(basis.deta[:, 1, 1], -basis.deta[:, 0, 0])
+    c = np.random.default_rng(3).standard_normal(basis.n_modes)
+    u = reconstruct_velocity(basis, c)
+    assert np.array_equal(u.dv_dy, -u.du_dx)
 
 
 def test_dense_tables_match_the_mode_loop(oracle_case, anisotropic_case):
-    for small, (eta, deta), *_ in (oracle_case, anisotropic_case):
+    for small, (eta, _), *_ in (oracle_case, anisotropic_case):
         assert np.array_equal(small.eta, eta)
-        assert np.array_equal(small.deta, deta)
 
 
 def _check_kernel(name, case):
@@ -315,7 +316,7 @@ def test_anisotropic_kernel_matches_einsum_oracle(anisotropic_case, name):
 
 def test_verifiers_never_build_the_dense_tables():
     # the solver and every verifier work on the 1-D profile tables; the
-    # dense (n, ., Nx, Ny) tables are for checks only
+    # dense (n, 2, Nx, Ny) table is for checks only
     from nsfourier.coefficients import RenormFunction
     from nsfourier.coupler import run_simulation
     from nsfourier.degiorgi import ladder_run
@@ -331,4 +332,3 @@ def test_verifiers_never_build_the_dense_tables():
                   SeparableTestFunction(traj.grid, traj.final.t),
                   config.delta, traj.laws)
     assert "eta" not in vars(traj.basis)
-    assert "deta" not in vars(traj.basis)

@@ -18,18 +18,19 @@ import pytest
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer():
-    """bench/tracer.py as a module."""
+def _bench_module(name: str):
+    """bench/<name>.py as a module."""
     spec = importlib.util.spec_from_file_location(
-        "bench_tracer", BENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+        f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_wrapped():
     """The (module, attribute) pairs bench/tracer.py wraps."""
-    return [(module, attr) for module, attr, _ in _tracer().WRAPPED]
+    wrapped = _bench_module("tracer").WRAPPED
+    return [(module, attr) for module, attr, _ in wrapped]
 
 
 def _tracer_paths():
@@ -205,7 +206,7 @@ def test_tracer_assembly_work_reads_a_built_basis():
     from nsfourier.basis import build_basis, reconstruct_velocity
     from nsfourier.grid import Grid, ScalarField
 
-    tracer = _tracer()
+    tracer = _bench_module("tracer")
     basis = build_basis(Grid(nx=12, ny=10), 4)
     rho = ScalarField.constant(basis.grid, 1.0)
     u = reconstruct_velocity(basis, np.ones(basis.n_modes))
@@ -216,3 +217,29 @@ def test_tracer_assembly_work_reads_a_built_basis():
     for name in tracer.ASSEMBLY:
         flop, byte = tracer.assembly_work(name, args[name])
         assert flop > 0 and byte > 0
+
+
+def test_worker_certify_builds_velocities_only_for_the_ladder_and_renorm(
+        monkeypatch):
+    # the benchmark's certify pass: the ladder builds each state's
+    # velocity once and each of the six renorm_reports each step's; the
+    # energy check and the a priori monitor read the run's records and
+    # build none
+    import contextlib
+
+    from nsfourier import coupler, momentum, state
+    from nsfourier.config import RunConfig
+    from nsfourier.coupler import run_simulation
+
+    config = RunConfig(nx=16, ny=16, n_modes=4, t_final=0.03, dt=0.01)
+    traj = run_simulation(config)
+    calls = []
+    for module in (coupler, momentum, state):
+        def counted(*args, _fn=module.reconstruct_velocity):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(module, "reconstruct_velocity", counted)
+    _, verdicts = _bench_module("worker").certify(
+        traj, config, lambda name: contextlib.nullcontext())
+    assert verdicts["energy_passes"] and verdicts["apriori_finite"]
+    assert len(calls) == len(traj.states) + 6 * (len(traj.states) - 1)

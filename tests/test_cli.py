@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -167,12 +168,16 @@ def test_run_halves_dt_past_cfl_cap(tmp_path, capsys):
     assert times == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02], abs=1e-15)
 
 
-def test_output_dir_env_override(config_path, tmp_path, monkeypatch, capsys):
+def test_output_dir_env_variable_does_not_redirect_output(
+        config_path, tmp_path, monkeypatch, capsys):
+    # only --output-dir chooses where a run writes
     target = tmp_path / "env_out"
     monkeypatch.setenv("NSFOURIER_OUTPUT_DIR", str(target))
-    assert main(["run", config_path, "--output-dir", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", config_path, "--output-dir", str(out)]) == 0
     capsys.readouterr()
-    assert (target / "diagnostics.csv").exists()
+    assert (out / "diagnostics.csv").exists()
+    assert not target.exists()
 
 
 def test_degiorgi_command(config_path, capsys):
@@ -197,9 +202,12 @@ def test_degiorgi_contradicted_certificate_is_a_run_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--kmax", "0", "k_max must be at least 1"),
-    ("--M", "-1", "M must be positive"),
-    ("--omega", "-1", "omega must be non-negative"),
-], ids=["kmax", "M", "omega"])
+    ("--M", "-1", "M must be positive and finite"),
+    ("--omega", "-1", "omega must be non-negative and finite"),
+    ("--M", "nan", "M must be positive and finite"),
+    ("--M", "inf", "M must be positive and finite"),
+    ("--omega", "nan", "omega must be non-negative and finite"),
+], ids=["kmax", "M", "omega", "M-nan", "M-inf", "omega-nan"])
 def test_degiorgi_rejects_bad_ladder_before_running(config_path, capsys,
                                                     monkeypatch, flag, value,
                                                     message):
@@ -252,6 +260,54 @@ def test_sweep_rejects_an_invalid_schedule_entry_before_any_run(
 
 def no_run(config):
     raise AssertionError("bad input is rejected before any run")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("regularization", "eps", "nan"),
+    ("time", "dt", "nan"),
+    ("conductivity", "kappa_lo", "nan"),
+    ("time", "t_final", "nan"),
+    ("time", "t_final", "inf"),
+], ids=["eps-nan", "dt-nan", "kappa_lo-nan", "t_final-nan", "t_final-inf"])
+def test_run_rejects_a_non_finite_value_before_any_run(
+        section, key, value, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[grid]\nnx = 8\nny = 8\n[basis]\nn_modes = 3\n"
+                    f"[{section}]\n{key} = {value}\n")
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: parse: {section}.{key} must be finite\n")
+
+
+def test_sweep_rejects_a_non_finite_schedule_entry_before_any_run(
+        config_path, tmp_path, capsys, monkeypatch):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("3 nan 1e-2\n")
+    monkeypatch.setattr(coupler, "run_simulation", no_run)
+    code = main(["sweep", config_path, "--schedule", str(schedule),
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: parse: line 1: regularization.eps must be finite\n")
+
+
+def test_every_non_finite_float_is_reported_under_its_config_name():
+    nan = float("nan")
+    floats = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+    config = RunConfig(**dict.fromkeys(floats, nan))
+    names, section = [], None
+    for line in serialize_config(config).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line.endswith(" = nan"):
+            names.append(f"{section}.{line.split(' = ')[0]}")
+    assert len(names) == len(floats)
+    assert [p for p in config.validate() if p.endswith(" must be finite")] == [
+        f"{name} must be finite" for name in names]
+    # a library caller gets the same check
+    with pytest.raises(ValueError, match="^time.dt must be finite$"):
+        coupler.run_simulation(RunConfig(nx=8, ny=8, n_modes=3, dt=nan))
 
 
 def test_run_rejects_modes_the_grid_cannot_resolve(tmp_path, capsys,
@@ -376,6 +432,26 @@ def test_lemma62_bad_params(capsys):
 
 LEMMA62_ARGS = ["--C", "1", "--A", "2", "--beta1", "2", "--beta2", "3",
                 "--U0", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma62", "--K", "nan"] + LEMMA62_ARGS,
+    ["lemma62", "--C", "1", "--A", "2", "--beta1", "2", "--beta2", "3",
+     "--U0", "nan"],
+    ["lemma62", "--C", "1", "--A", "2", "--beta1", "2", "--beta2", "inf",
+     "--U0", "1", "--threshold"],
+    ["check-h", "--form", "power", "--l", "nan"],
+    ["check-h", "--form", "power", "--zmax", "0"],
+    ["check-h", "--form", "power", "--zmax", "-5"],
+    ["check-h", "--form", "truncated-log", "--cutoff", "inf"],
+], ids=["lemma62-K-nan", "lemma62-U0-nan", "lemma62-beta2-inf", "check-h-l-nan",
+        "check-h-zmax-0", "check-h-zmax-neg", "check-h-cutoff-inf"])
+def test_a_nan_or_out_of_range_tool_argument_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parse: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, target", [

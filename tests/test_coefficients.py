@@ -136,6 +136,23 @@ def test_kirchhoff_tabulated_matches_quadrature():
         assert kirchhoff_K(law, theta) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RenormFunction.power(math.nan),
+    lambda: RenormFunction.power(math.inf),
+    lambda: RenormFunction.truncated_log(math.nan, 5.0),
+    lambda: RenormFunction.truncated_log(0.5, math.nan),
+    lambda: RenormFunction.truncated_log(0.5, math.inf),
+    lambda: check_h_admissible(RenormFunction.power(1.0), math.nan, 10),
+    lambda: check_h_admissible(RenormFunction.power(1.0), math.inf, 10),
+    lambda: check_h_admissible(RenormFunction.power(1.0), 0.0, 10),
+    lambda: check_h_admissible(RenormFunction.power(1.0), -5.0, 10),
+], ids=["power-nan", "power-inf", "log-omega-nan", "log-cutoff-nan",
+        "log-cutoff-inf", "zmax-nan", "zmax-inf", "zmax-0", "zmax-neg"])
+def test_renorm_arguments_must_be_finite_and_in_range(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_H_log_form():
     h = RenormFunction.power(1.0)
     assert eval_H(h, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)

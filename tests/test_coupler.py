@@ -10,11 +10,10 @@ from nsfourier.config import RunConfig
 from nsfourier.coupler import (Step, build_grid, continuation_sweep,
                                fixed_point_step, initial_state,
                                run_simulation)
-from nsfourier.diagnostics import check_energy_inequality, diagnostics_csv_text
+from nsfourier.diagnostics import (apriori_monitor, check_energy_inequality,
+                                   diagnostics_csv_text)
 from nsfourier.errors import RunError
 from nsfourier.grid import ScalarField
-from nsfourier.state import FluidState, Trajectory
-from nsfourier.thermal import dissipation_field
 
 
 def small_config(**overrides):
@@ -154,28 +153,18 @@ def test_run_builds_each_velocity_once_per_sweep(monkeypatch):
     assert sum(len(s.sweeps) for s in steps) > len(steps)
 
 
-def test_run_rows_match_rows_rebuilt_from_the_states():
-    config = small_config(dt=0.005, m0_amplitude=0.05)
-    traj = run_simulation(config)
-    rebuilt = Trajectory(grid=traj.grid, basis=traj.basis, laws=traj.laws,
-                         eps=traj.eps, delta=traj.delta)
-    records = []
-    for m, state in enumerate(traj.states):
-        rebuilt.append(state)
-        u = state.velocity(traj.basis)
-        diss = None if m == 0 else dissipation_field(
-            traj.states[m - 1].viscosity(traj.laws), u)
-        records.append(coupler._record(rebuilt, records[-1] if records else None,
-                                       u, diss))
-    assert [r.row() for r in traj.records] == [r.row() for r in records]
+def test_run_rows_match_rows_rebuilt_from_the_states(replay_records):
+    traj = run_simulation(small_config(dt=0.005, m0_amplitude=0.05))
+    assert [r.row() for r in traj.records] == [r.row() for r in replay_records(traj)]
     assert traj.records[-1].cum_dissipation > 0.0
 
 
-def test_energy_check_builds_each_velocity_once(monkeypatch):
+def test_energy_check_and_apriori_monitor_build_no_velocity(monkeypatch):
     traj = run_simulation(small_config(m0_amplitude=0.01))
     calls = count_reconstructions(monkeypatch)
     assert check_energy_inequality(traj, traj.delta, traj.eps)["passes"]
-    assert len(calls) == len(traj.states)
+    apriori_monitor(traj)
+    assert calls == []
 
 
 def test_zero_t_final_gives_initial_state_only():

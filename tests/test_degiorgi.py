@@ -4,8 +4,8 @@ import pytest
 from nsfourier.basis import build_basis
 from nsfourier.config import Laws
 from nsfourier.coefficients import ConductivityLaw, ViscosityLaw
-from nsfourier.degiorgi import (DeGiorgiLadder, Lemma62Params, ladder_run,
-                                lemma62_iterate, lemma62_threshold,
+from nsfourier.degiorgi import (DeGiorgiLadder, Lemma62Params, build_ladder,
+                                ladder_run, lemma62_iterate, lemma62_threshold,
                                 level_energy, rung_integrals,
                                 truncation_phi, certificate_text)
 from nsfourier.errors import DegenerateInputError
@@ -60,8 +60,16 @@ def test_ladder_levels_consistency():
 
 
 def test_ladder_invalid_params():
-    with pytest.raises(ValueError):
-        DeGiorgiLadder(M=0.0)
+    for kwargs in ({"M": 0.0}, {"M": np.nan}, {"M": np.inf},
+                   {"M": 2.0, "omega": np.nan}, {"M": 2.0, "omega": np.inf}):
+        with pytest.raises(ValueError):
+            DeGiorgiLadder(**kwargs)
+
+
+@pytest.mark.parametrize("theta_floor", [0.0, np.nan, np.inf])
+def test_build_ladder_rejects_a_bad_floor(theta_floor):
+    with pytest.raises(ValueError, match="theta_floor"):
+        build_ladder(theta_floor)
 
 
 def test_level_energy_constant_state_hand_value():
@@ -202,6 +210,11 @@ def test_lemma62_param_validation():
         Lemma62Params(C=1.0, A=2.0, beta1=3.0, beta2=2.0, K=1.0, U0=1.0)
     with pytest.raises(ValueError):
         Lemma62Params(C=1.0, A=2.0, beta1=2.0, beta2=3.0, K=0.0, U0=1.0)
+    good = dict(C=1.0, A=2.0, beta1=2.0, beta2=3.0, K=1.0, U0=1.0)
+    for name in good:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Lemma62Params(**{**good, name: bad})
 
 
 def test_lemma62_threshold_finite():

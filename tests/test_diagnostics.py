@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,15 @@ from nsfourier.basis import build_basis
 from nsfourier.coefficients import RenormFunction, ViscosityLaw, eval_H
 from nsfourier.config import Laws, RunConfig
 from nsfourier.coupler import run_simulation
-from nsfourier.diagnostics import (CSV_COLUMNS, SeparableTestFunction,
-                                   apriori_monitor, check_energy_inequality,
+from nsfourier.diagnostics import (CSV_COLUMNS, ENERGY_SLACK_FACTOR,
+                                   SeparableTestFunction, apriori_monitor,
+                                   check_energy_inequality,
                                    diagnostics_csv_text, energy_report,
-                                   renorm_report)
+                                   energy_slack, renorm_report, step_sinks)
 from nsfourier.errors import CapabilityError
-from nsfourier.grid import Grid, ScalarField
+from nsfourier.grid import Grid, ScalarField, h1_sq_values, integrate_values
 from nsfourier.state import FluidState, Trajectory
+from nsfourier.thermal import dissipation_field
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +63,15 @@ def test_kinetic_energy_quadratic():
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
-def test_equilibrium_energy_check():
+def test_equilibrium_energy_check(replay_records):
     traj = make_static_trajectory()
+    traj.records = replay_records(traj)
     report = check_energy_inequality(traj, 0.0, traj.eps)
     assert report["passes"]
     assert report["max_violation"] <= 1e-13
 
 
-def test_injected_energy_detected():
+def test_injected_energy_detected(replay_records):
     grid = Grid(nx=16, ny=16)
     basis = build_basis(grid, 3)
     laws = RunConfig().laws()
@@ -76,9 +81,88 @@ def test_injected_energy_detected():
                                coeffs=scale * np.ones(3),
                                theta=ScalarField.constant(grid, 0.5),
                                t=0.05 * i))
+    traj.records = replay_records(traj)
     report = check_energy_inequality(traj, 0.0, traj.eps)
     assert not report["passes"]
     assert report["max_violation"] > 0
+
+
+def test_verifiers_reject_records_that_do_not_match_the_states(small_run):
+    config, run = small_run
+    empty = Trajectory(grid=run.grid, basis=run.basis, laws=run.laws,
+                       eps=run.eps, delta=run.delta)
+    missing = replace(run, records=run.records[:-1])
+    shifted = replace(run, records=run.records[:1] + [
+        replace(rec, time=rec.time + 1e-3) for rec in run.records[1:]])
+    for traj in (empty, missing, shifted):
+        with pytest.raises(ValueError):
+            check_energy_inequality(traj, config.delta, config.eps)
+        with pytest.raises(ValueError):
+            apriori_monitor(traj)
+
+
+@pytest.fixture(scope="module")
+def moving_run():
+    # strong flow: theta heats from 0.2 to about 22 and the slack is
+    # far from zero
+    config = RunConfig(nx=24, ny=24, n_modes=6, t_final=0.02, dt=0.002,
+                       m0_amplitude=1.0)
+    return config, run_simulation(config)
+
+
+def energy_check_from_states(traj):
+    """The energy check re-derived from the stored states alone, each
+    state's velocity rebuilt from its coefficients."""
+    def total(state, u):
+        rep = energy_report(traj, state, u)
+        return rep["kinetic_energy"] + rep["thermal_energy"]
+
+    states = traj.states
+    total_old = total_0 = total(states[0], states[0].velocity(traj.basis))
+    worst = -np.inf
+    worst_step = -1
+    for m in range(len(states) - 1):
+        u1 = states[m + 1].velocity(traj.basis)
+        total_new = total(states[m + 1], u1)
+        diss = dissipation_field(states[m].viscosity(traj.laws), u1)
+        violation = energy_slack(total_new, total_old,
+                                 step_sinks(traj, m, u1, diss))
+        if violation > worst:
+            worst = violation
+            worst_step = m
+        total_old = total_new
+    threshold = ENERGY_SLACK_FACTOR * total_0
+    return {"max_violation": float(worst), "worst_step": worst_step,
+            "threshold": threshold, "passes": bool(worst <= threshold)}
+
+
+def test_energy_check_matches_the_check_rederived_from_the_states(moving_run):
+    config, traj = moving_run
+    report = check_energy_inequality(traj, config.delta, config.eps)
+    assert repr(report) == repr(energy_check_from_states(traj))
+    assert report["max_violation"] < -1e-3
+
+
+def test_apriori_monitor_matches_the_velocity_terms_of_the_states(moving_run):
+    _, traj = moving_run
+    grid, times = traj.grid, traj.times
+    rho_u, u_h1_sq, th_h1_sq, th_l3 = [], [], [], []
+    for s in traj.states:
+        u = s.velocity(traj.basis)
+        rho_u.append(float(np.sqrt(integrate_values(
+            grid, s.rho.values * u.speed_sq()))))
+        u_h1_sq.append(integrate_values(grid, u.speed_sq() + u.grad_sq()))
+        th_h1_sq.append(h1_sq_values(grid, s.theta.values))
+        th_l3.append(integrate_values(grid, s.theta.values ** 3))
+    report = apriori_monitor(traj)
+    assert report["rho_Linf"] == max(s.rho.max() for s in traj.states)
+    assert report["sqrt_rho_u_LinfL2"] == max(rho_u)
+    assert report["u_L2H1"] == pytest.approx(
+        np.sqrt(np.trapezoid(u_h1_sq, times)), rel=1e-15)
+    assert report["theta_L2H1"] == pytest.approx(
+        np.sqrt(np.trapezoid(th_h1_sq, times)), rel=1e-15)
+    assert report["theta_L3_spacetime"] == pytest.approx(
+        np.trapezoid(th_l3, times) ** (1.0 / 3.0), rel=1e-15)
 
 
 def test_run_energy_check(small_run):
