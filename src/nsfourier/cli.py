@@ -60,8 +60,8 @@ def cmd_run(args) -> int:
         for i, state in enumerate(traj.states):
             if i % config.output_every == 0 or i == len(traj.states) - 1:
                 stem = os.path.join(out, f"snapshot_{i:05d}")
-                write_snapshot(stem + "_rho.txt", state.rho, state.t, "rho")
-                write_snapshot(stem + "_theta.txt", state.theta, state.t, "theta")
+                write_snapshot(stem + "_rho.npz", state.rho, state.t, "rho")
+                write_snapshot(stem + "_theta.npz", state.theta, state.t, "theta")
     rec = traj.records[-1]
     print("[summary]")
     print(f"steps = {len(traj.states) - 1}")

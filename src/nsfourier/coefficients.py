@@ -47,8 +47,8 @@ class ConductivityLaw:
     kappa_samples: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.kappa_lo <= 0 or self.kappa_hi <= 0:
-            raise ValueError("conductivity bounds must be positive")
+        if not (0 < self.kappa_lo < math.inf and 0 < self.kappa_hi < math.inf):
+            raise ValueError("conductivity bounds must be positive and finite")
         if self.kappa_lo > self.kappa_hi:
             raise ValueError("kappa_lo must not exceed kappa_hi")
         if self.form not in ("canonical", "tabulated"):
@@ -130,8 +130,8 @@ class ViscosityLaw:
     theta_bar: float
 
     def __post_init__(self):
-        if self.slope <= 0 or self.theta_bar <= 0:
-            raise ValueError("slope and theta_bar must be positive")
+        if not (0 < self.slope < math.inf and 0 < self.theta_bar < math.inf):
+            raise ValueError("slope and theta_bar must be positive and finite")
 
 
 def eval_viscosity(law: ViscosityLaw, theta):

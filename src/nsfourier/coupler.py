@@ -4,14 +4,15 @@ sub-solvers, the outer time loop, and the continuation sweep driver.
 Each time step runs a Picard iteration: the density is advected with the
 current velocity iterate, the momentum system is re-solved with that
 density, and the loop repeats until the Galerkin coefficients stop
-moving.  Each sweep computes one set of characteristic feet; the last
-sweep's feet, which carried rho_new, also carry the temperature step's
-(delta+rho) theta, so one velocity moves both.  Only the new-density
-mass matrix changes between sweeps, so the rest of the momentum system,
-and mu(theta_old) with it, is built once per step.  The temperature
-step closes the step once, after convergence, because the momentum step
-sees only the previous step's temperature through the lagged viscosity;
-re-running it inside the loop would change nothing.  On step failure the
+moving.  Each sweep builds one interpolation stencil at its
+characteristic feet; the last sweep's stencil, which carried rho_new,
+also carries the temperature step's (delta+rho) theta, so one velocity
+moves both.  Only the new-density mass matrix changes between sweeps,
+so the rest of the momentum system, and mu(theta_old) with it, is built
+once per step.  The temperature step closes the step once, after
+convergence, because the momentum step sees only the previous step's
+temperature through the lagged viscosity; re-running it inside the loop
+would change nothing.  On step failure the
 time loop halves dt and retries, up to five halvings.  One
 `JacobianFactor` per run carries the thermal Jacobian's LU from step to
 step; it refactors itself when the Jacobian moves, as it does when dt is
@@ -91,7 +92,7 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
     for sweep in range(config.picard_max):
         if sweep:
             u_k = reconstruct_velocity(basis, coeffs_k)
-        rho_new, feet = advect_density(state.rho, u_k, dt)
+        rho_new, stencil = advect_density(state.rho, u_k, dt)
         coeffs_new = step_momentum(system, rho_new)
         scale = max(float(np.linalg.norm(coeffs_new)),
                     float(np.linalg.norm(coeffs_k)), 1e-300)
@@ -106,8 +107,8 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
 
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
-    # (delta + rho) theta moves along the feet that carried rho_new
-    theta_new = step_temperature(state.theta, rho_new, state.rho, feet,
+    # (delta + rho) theta moves through the stencil that carried rho_new
+    theta_new = step_temperature(state.theta, rho_new, state.rho, stencil,
                                  diss, dt, config.delta, laws, factor=factor)
     new = FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
                      t=state.t + dt)

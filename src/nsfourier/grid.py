@@ -2,11 +2,13 @@
 
 The domain is the rectangle [0, Lx] x [0, Ly] discretized with nx x ny
 cells, fields live on the (nx+1) x (ny+1) nodes.  Quadrature is the
-tensor-product trapezoid rule, all stencils are second order.
+tensor-product trapezoid rule, all stencils are second order.  Snapshots
+are binary `.npz` archives that read back bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +24,14 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid needs nx, ny >= 4, got ({self.nx}, {self.ny})")
-        if self.Lx <= 0 or self.Ly <= 0:
-            raise ValueError("domain lengths must be positive")
+        if not (0 < self.Lx < math.inf and 0 < self.Ly < math.inf):
+            raise ValueError("domain lengths must be positive and finite")
         weights = np.outer(*self.axis_weights())
-        weights.flags.writeable = False
+        nodes = np.meshgrid(self.x, self.y, indexing="ij")
+        for arr in (weights, *nodes):
+            arr.flags.writeable = False
         object.__setattr__(self, "_quad_weights", weights)
+        object.__setattr__(self, "_nodes", tuple(nodes))
 
     @property
     def hx(self) -> float:
@@ -49,8 +54,9 @@ class Grid:
         return np.linspace(0.0, self.Ly, self.ny + 1)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid node coordinates, shape (nx+1, ny+1) each."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
+        """Meshgrid node coordinates, shape (nx+1, ny+1) each.  Built once
+        per grid and read-only."""
+        return self._nodes
 
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """1-D trapezoid-rule weights along x and along y."""
@@ -168,28 +174,24 @@ def norm_H1(f: ScalarField) -> float:
 
 
 def write_snapshot(path, f: ScalarField, time: float, name: str) -> None:
-    """Plain-text snapshot: header lines, then row-major values one per line."""
+    """Binary snapshot at exactly `path`: an uncompressed `.npz` archive
+    holding `values` (float64, shape (nx+1, ny+1)), `time`, `Lx`, `Ly`
+    and `name`.  Written through an open handle, so no `.npz` is
+    appended to the name; zipfile stamps every member with the same
+    fixed date, so equal fields give equal bytes."""
     g = f.grid
-    header = (f"# nsfourier field snapshot\nnx = {g.nx}\nny = {g.ny}\n"
-              f"Lx = {g.Lx!r}\nLy = {g.Ly!r}\ntime = {time!r}\nname = {name}\n")
-    with open(path, "w") as fh:
-        fh.write(header + "".join(f"{val!r}\n" for val in f.values.ravel().tolist()))
+    with open(path, "wb") as fh:
+        np.savez(fh, values=f.values, time=np.float64(time),
+                 Lx=np.float64(g.Lx), Ly=np.float64(g.Ly), name=np.str_(name))
 
 
 def read_snapshot(path) -> tuple[ScalarField, float, str]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    body_start = 1
-    for i, line in enumerate(lines[1:], start=1):
-        if "=" not in line:
-            body_start = i
-            break
-        key, _, val = line.partition("=")
-        header[key.strip()] = val.strip()
-        body_start = i + 1
-    grid = Grid(int(header["nx"]), int(header["ny"]),
-                float(header["Lx"]), float(header["Ly"]))
-    values = np.array([float(s) for s in lines[body_start:] if s.strip()])
-    f = ScalarField(grid, values.reshape(grid.shape))
-    return f, float(header["time"]), header["name"]
+    """The field, time and name `write_snapshot` stored; an archive that
+    needs unpickling is refused with ValueError."""
+    with np.load(path, allow_pickle=False) as data:
+        values = data["values"]
+        if values.ndim != 2:
+            raise ValueError(f"snapshot values must be 2-D, got shape {values.shape}")
+        grid = Grid(values.shape[0] - 1, values.shape[1] - 1,
+                    float(data["Lx"]), float(data["Ly"]))
+        return ScalarField(grid, values), float(data["time"]), str(data["name"])

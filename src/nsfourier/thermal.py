@@ -4,9 +4,9 @@
         + delta theta^3 = (1-delta) S : grad u
 
 with homogeneous Neumann walls.  Advection moves the conserved quantity
-(delta+rho) theta along the characteristic feet of the step's last
-density transport, the one that produced rho_new, so a constant theta
-stays constant under transport.  Diffusion is a finite-volume Neumann
+(delta+rho) theta through the feet stencil of the step's last density
+transport, the one that produced rho_new, so a constant theta stays
+constant under transport.  Diffusion is a finite-volume Neumann
 operator with the conductivity lagged at the old temperature, the cubic
 sink is implicit and solved by Newton, the dissipation source explicit.
 A scale-down limiter keeps the advected thermal content from exceeding
@@ -154,15 +154,15 @@ class JacobianFactor:
 
 
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
-                     rho_old: ScalarField, feet, diss: ScalarField,
+                     rho_old: ScalarField, stencil, diss: ScalarField,
                      dt: float, delta: float, laws,
                      factor: JacobianFactor | None = None) -> ScalarField:
     """One backward-Euler step of size dt; returns the new non-negative
     temperature.
 
-    `feet` are the characteristic feet (fx, fy) along which rho_old
-    became rho_new, as `advect_density` returns them, or None when
-    nothing moved.  `laws` must expose `conductivity`, a
+    `stencil` is the `transport.Stencil` of the characteristic feet
+    through which rho_old became rho_new, as `advect_density` returns
+    it, or None when nothing moved.  `laws` must expose `conductivity`, a
     `ConductivityLaw`.  `factor` carries the Jacobian's LU from earlier
     steps; None starts with nothing factored.
     """
@@ -182,10 +182,10 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
 
     a_new = delta + rho_new.values
     w_old = (delta + rho_old.values) * theta.values
-    if feet is None:
+    if stencil is None:
         w_star = w_old
     else:
-        w_star = advect_values(grid, w_old, feet)
+        w_star = advect_values(grid, w_old, stencil)
         total_old = integrate_values(grid, w_old)
         total_star = integrate_values(grid, w_star)
         if total_star > total_old > 0.0:

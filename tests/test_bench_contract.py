@@ -243,3 +243,34 @@ def test_worker_certify_builds_velocities_only_for_the_ladder_and_renorm(
         traj, config, lambda name: contextlib.nullcontext())
     assert verdicts["energy_passes"] and verdicts["apriori_finite"]
     assert len(calls) == len(traj.states) + 6 * (len(traj.states) - 1)
+
+
+def test_every_snapshot_path_exists_under_its_exact_name(tmp_path,
+                                                        monkeypatch):
+    # the tracer's `grid.snapshot_bytes` stats each path `cli` passes to
+    # write_snapshot right after the call, so a writer that stores its
+    # file under another name (np.savez appends `.npz` to a bare path)
+    # fails every `--trace 1` run
+    import os
+
+    from nsfourier import cli
+    from nsfourier.config import RunConfig, serialize_config
+
+    config = RunConfig(nx=12, ny=12, n_modes=4, t_final=0.03, dt=0.01,
+                       output_every=2)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(config))
+    paths = []
+    write = cli.write_snapshot
+
+    def recorded(*args):
+        paths.append(args[0])
+        return write(*args)
+
+    monkeypatch.setattr(cli, "write_snapshot", recorded)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    assert len(paths) == 6
+    assert sorted(os.path.basename(p) for p in paths) == sorted(
+        p.name for p in out.iterdir() if p.name != "diagnostics.csv")
+    assert all(os.path.getsize(p) > 0 for p in paths)

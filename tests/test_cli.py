@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nsfourier
@@ -12,6 +13,7 @@ from nsfourier.cli import main
 from nsfourier.config import (RunConfig, parse_config, parse_config_text,
                               serialize_config)
 from nsfourier.errors import ConfigError, RunError
+from nsfourier.grid import read_snapshot
 
 
 @pytest.fixture
@@ -110,9 +112,40 @@ def test_run_command(config_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[summary]" in captured.out
     assert (out / "diagnostics.csv").exists()
-    assert (out / "snapshot_00000_rho.txt").exists()
+    assert (out / "snapshot_00000_rho.npz").exists()
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert header.startswith("time,kinetic_energy,thermal_energy,")
+
+
+def test_run_snapshots_read_back_bitwise(tmp_path, monkeypatch):
+    # output_every 2 over 5 steps: states 0, 2, 4 and the final state 5
+    config = RunConfig(nx=16, ny=12, Lx=1.3, Ly=0.7, n_modes=4, t_final=0.05,
+                       dt=0.01, m0_amplitude=0.01, output_every=2)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(config))
+    runs = []
+
+    def keep(config):
+        runs.append(coupler.run_simulation(config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", keep)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    traj = runs[0]
+    written = sorted(p.name for p in out.glob("snapshot_*"))
+    stored = [0, 2, 4, 5]
+    assert written == [f"snapshot_{i:05d}_{name}.npz"
+                       for i in stored for name in ("rho", "theta")]
+    for i in stored:
+        state = traj.states[i]
+        for name in ("rho", "theta"):
+            field, time, read_name = read_snapshot(out / f"snapshot_{i:05d}_{name}.npz")
+            assert read_name == name
+            assert time == state.t
+            assert field.grid == traj.grid
+            assert (field.grid.Lx, field.grid.Ly) == (1.3, 0.7)
+            assert np.array_equal(field.values, getattr(state, name).values)
 
 
 def test_run_parse_error_exit_code(tmp_path, capsys):
@@ -355,6 +388,7 @@ def test_an_output_dir_under_a_file_is_rejected_before_any_run(
 
 
 @pytest.mark.parametrize("command, name", [("run", "diagnostics.csv"),
+                                           ("run", "snapshot_00003_theta.npz"),
                                            ("sweep", "sweep_report.txt")])
 def test_an_unwritable_output_file_exits_2(command, name, config_path,
                                            tmp_path, capsys):

@@ -39,6 +39,16 @@ def test_viscosity_negative_theta_rejected():
         eval_viscosity(law, -0.1)
 
 
+@pytest.mark.parametrize("params", [dict(slope=math.nan, theta_bar=1.0),
+                                    dict(slope=1.0, theta_bar=math.nan),
+                                    dict(slope=math.inf, theta_bar=1.0),
+                                    dict(slope=1.0, theta_bar=-math.inf),
+                                    dict(slope=0.0, theta_bar=1.0)])
+def test_viscosity_law_rejects_non_finite_parameters(params):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ViscosityLaw(**params)
+
+
 @given(st.floats(1e-6, 1.0))
 def test_viscosity_slope_lower_bound(theta):
     law = ViscosityLaw(slope=2.0, theta_bar=1.0)
@@ -71,6 +81,16 @@ def test_conductivity_bounds_random(theta):
     law = ConductivityLaw(kappa_lo=0.5, kappa_hi=3.0)
     val = eval_conductivity(law, theta)
     assert 0.5 * (1 + theta ** 2) - 1e-9 <= val <= 3.0 * (1 + theta ** 2) + 1e-9
+
+
+@pytest.mark.parametrize("bounds", [dict(kappa_lo=math.nan, kappa_hi=math.nan),
+                                    dict(kappa_lo=1.0, kappa_hi=math.nan),
+                                    dict(kappa_lo=math.nan, kappa_hi=1.0),
+                                    dict(kappa_lo=1.0, kappa_hi=math.inf),
+                                    dict(kappa_lo=-1.0, kappa_hi=1.0)])
+def test_conductivity_law_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConductivityLaw(**bounds)
 
 
 def test_tabulated_law_rejects_bound_violation():

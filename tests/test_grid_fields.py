@@ -15,6 +15,13 @@ def test_grid_rejects_tiny():
         Grid(nx=2, ny=8)
 
 
+@pytest.mark.parametrize("lengths", [dict(Lx=float("nan")), dict(Ly=float("nan")),
+                                     dict(Lx=float("inf")), dict(Ly=-1.0)])
+def test_grid_rejects_non_finite_lengths(lengths):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(nx=8, ny=8, **lengths)
+
+
 def test_grid_area(unit_grid):
     assert np.sum(unit_grid.quad_weights()) == pytest.approx(1.0, rel=1e-14)
 
@@ -61,27 +68,65 @@ def test_norms_of_constant(unit_grid):
     assert norm_H1(f) == pytest.approx(2.0, rel=1e-13)
 
 
-def test_snapshot_round_trip(tmp_path, unit_grid):
+def test_snapshot_round_trip(tmp_path):
+    grid = Grid(nx=12, ny=20, Lx=2.5, Ly=0.1 + 0.2)
     rng = np.random.default_rng(3)
-    f = ScalarField(unit_grid, rng.standard_normal(unit_grid.shape))
-    path = tmp_path / "field.txt"
-    write_snapshot(path, f, 0.25, "rho")
+    f = ScalarField(grid, np.exp(30 * rng.standard_normal(grid.shape)))
+    path = tmp_path / "field.npz"
+    write_snapshot(path, f, 0.1 + 0.2, "rho")
     g, t, name = read_snapshot(path)
-    assert t == 0.25
+    assert t == 0.1 + 0.2
     assert name == "rho"
-    assert g.grid == unit_grid
+    assert g.grid == grid
     assert np.array_equal(g.values, f.values)
 
 
-def test_snapshot_header_format(tmp_path, unit_grid):
-    path = tmp_path / "field.txt"
+def test_snapshot_keys_and_dtypes(tmp_path, unit_grid):
+    path = tmp_path / "field.npz"
     write_snapshot(path, ScalarField.constant(unit_grid, 1.0), 0.0, "theta")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# nsfourier field snapshot"
-    assert lines[1] == "nx = 32"
-    assert lines[2] == "ny = 32"
-    assert lines[3] == "Lx = 1.0"
-    assert lines[4] == "Ly = 1.0"
-    assert lines[5] == "time = 0.0"
-    assert lines[6] == "name = theta"
-    assert lines[7] == "1.0"
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == ["Lx", "Ly", "name", "time", "values"]
+        assert data["values"].dtype == np.float64
+        assert data["values"].shape == (33, 33)
+        assert data["time"].dtype == np.float64 and data["time"].shape == ()
+        assert str(data["name"]) == "theta"
+
+
+@pytest.mark.parametrize("name", ["field", "field.txt", "field.npz"])
+def test_snapshot_is_written_at_exactly_its_path(tmp_path, unit_grid, name):
+    write_snapshot(tmp_path / name, ScalarField.constant(unit_grid, 1.0),
+                   0.0, "rho")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_snapshot_bytes_are_deterministic(tmp_path, unit_grid, monkeypatch):
+    # the second write happens a day later by the clock: an archive that
+    # stamps its members with the time of writing would differ
+    import time
+
+    f = ScalarField(unit_grid, np.random.default_rng(4).random(unit_grid.shape))
+    write_snapshot(tmp_path / "a.npz", f, 0.5, "rho")
+    later = time.time() + 86400.0
+    monkeypatch.setattr(time, "time", lambda: later)
+    write_snapshot(tmp_path / "b.npz", f, 0.5, "rho")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_snapshot_with_a_pickled_object_array_is_refused(tmp_path):
+    path = tmp_path / "evil.npz"
+    values = np.empty((9, 9), dtype=object)
+    values[...] = 1.0
+    with open(path, "wb") as fh:
+        np.savez(fh, values=values, time=0.0, Lx=1.0, Ly=1.0, name="rho")
+    with pytest.raises(ValueError, match="allow_pickle"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("values", [np.zeros(9), np.zeros((9, 9, 2)),
+                                    np.full((9, 9), np.nan)])
+def test_snapshot_of_a_bad_field_is_refused(tmp_path, values):
+    path = tmp_path / "bad.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, values=values, time=0.0, Lx=1.0, Ly=1.0, name="rho")
+    with pytest.raises(ValueError):
+        read_snapshot(path)

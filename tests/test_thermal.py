@@ -80,21 +80,24 @@ def test_steady_state_constant_theta(grid):
 
 
 def test_constant_theta_stays_constant_along_the_densitys_feet(grid):
-    # with delta = 0 the advected content is rho theta; moved along rho's
-    # own feet it is theta times the moved rho, so theta stays constant
+    # with delta = 0 the advected content is rho theta; moved through the
+    # stencil of rho's own feet it is theta times the moved rho, so theta
+    # stays constant
     X, Y = grid.nodes()
     rho = ScalarField(grid, 1.0 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y))
     omega = 2.0 * np.pi
     u = VectorField(grid, -omega * (Y - 0.5), omega * (X - 0.5))
     dt = 0.02
-    rho_new, feet = advect_density(rho, u, dt)
+    rho_new, stencil = advect_density(rho, u, dt)
     theta = ScalarField.constant(grid, 0.7)
     source = ScalarField.constant(grid, 0.0)
-    out = step_temperature(theta, rho_new, rho, feet, source, dt, 0.0,
+    out = step_temperature(theta, rho_new, rho, stencil, source, dt, 0.0,
                            canonical_laws())
     assert np.ptp(out.values) <= 8 * np.spacing(0.7)
-    # feet of another flow do not carry rho_new, and theta moves
+    # the feet stencil of another flow does not carry rho_new, and theta
+    # moves: the temperature step reads the stencil it is given
     other = compute_feet(grid, VectorField(grid, 0.5 * u.u, 0.5 * u.v), dt)
+    assert not np.array_equal(other.weight, stencil.weight)
     moved = step_temperature(theta, rho_new, rho, other, source, dt, 0.0,
                              canonical_laws())
     assert np.ptp(moved.values) > 1e-4

@@ -4,7 +4,8 @@ import pytest
 from nsfourier.errors import StepError
 from nsfourier.grid import Grid, ScalarField, VectorField
 from nsfourier.transport import (advect_density, advect_values,
-                                 interpolate_bilinear, level_set_measure)
+                                 bilinear_stencil, compute_feet,
+                                 level_set_measure)
 
 
 def blob(grid, cx=0.5, cy=0.5, width=0.1):
@@ -21,9 +22,57 @@ def uniform_flow(grid, ux, uy):
 def test_zero_velocity_is_identity():
     grid = Grid(nx=32, ny=32)
     rho = blob(grid)
-    out, feet = advect_density(rho, VectorField.zero(grid), 0.1)
+    out, stencil = advect_density(rho, VectorField.zero(grid), 0.1)
     assert np.array_equal(out.values, rho.values)
-    assert feet is None
+    assert stencil is None
+
+
+def oracle_bilinear(grid, values, fx, fy):
+    """Bilinear interpolation gathered point by point from the 2-D array,
+    with the corner-hull clamp: the per-call form the stencil replaced."""
+    sx = np.clip(fx / grid.hx, 0.0, grid.nx)
+    sy = np.clip(fy / grid.hy, 0.0, grid.ny)
+    i = np.minimum(sx.astype(int), grid.nx - 1)
+    j = np.minimum(sy.astype(int), grid.ny - 1)
+    tx = sx - i
+    ty = sy - j
+    v00 = values[i, j]
+    v10 = values[i + 1, j]
+    v01 = values[i, j + 1]
+    v11 = values[i + 1, j + 1]
+    out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
+           + (1 - tx) * ty * v01 + tx * ty * v11)
+    lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
+    hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
+    return np.clip(out, lo, hi)
+
+
+def oracle_feet(grid, u, dt):
+    """Midpoint-backtracked feet (fx, fy) through the oracle."""
+    X, Y = grid.nodes()
+    mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
+    my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
+    um = oracle_bilinear(grid, u.u, mx, my)
+    vm = oracle_bilinear(grid, u.v, mx, my)
+    return (np.clip(X - dt * um, 0.0, grid.Lx),
+            np.clip(Y - dt * vm, 0.0, grid.Ly))
+
+
+def edge_points(grid, rng):
+    """Nodes, points on all four walls and at the four corners, interior
+    points, and points outside the domain on every side."""
+    X, Y = grid.nodes()
+    Lx, Ly = grid.Lx, grid.Ly
+    s = rng.random(40)
+    fx = [X.ravel(), s * Lx, s * Lx, np.zeros(40), np.full(40, Lx),
+          np.array([0.0, Lx, 0.0, Lx]), rng.random(200) * Lx,
+          rng.uniform(-0.5, 1.5, 200) * Lx,
+          np.array([-1e-300, np.nextafter(Lx, np.inf), -5.0])]
+    fy = [Y.ravel(), np.zeros(40), np.full(40, Ly), s * Ly, s * Ly,
+          np.array([0.0, 0.0, Ly, Ly]), rng.random(200) * Ly,
+          rng.uniform(-0.5, 1.5, 200) * Ly,
+          np.array([np.nextafter(Ly, np.inf), -1e-300, 3.0 * Ly])]
+    return np.concatenate(fx), np.concatenate(fy)
 
 
 def test_interpolation_at_nodes_exact():
@@ -31,7 +80,75 @@ def test_interpolation_at_nodes_exact():
     rng = np.random.default_rng(0)
     values = rng.random(grid.shape)
     X, Y = grid.nodes()
-    assert np.array_equal(interpolate_bilinear(grid, values, X, Y), values)
+    assert np.array_equal(bilinear_stencil(grid, X, Y).apply(values), values)
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", [(16, 16, 1.0, 1.0),
+                                            (12, 20, 2.0, 0.7),
+                                            (64, 64, 1.0, 1.0)])
+def test_stencil_matches_the_oracle_bitwise(nx, ny, Lx, Ly):
+    grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
+    rng = np.random.default_rng(nx + ny)
+    fx, fy = edge_points(grid, rng)
+    stencil = bilinear_stencil(grid, fx, fy)
+    for values in (rng.standard_normal(grid.shape),
+                   1.0 + rng.random(grid.shape) * 1e-12,
+                   np.exp(40 * rng.standard_normal(grid.shape))):
+        expected = oracle_bilinear(grid, values, fx, fy)
+        assert np.array_equal(stencil.apply(values), expected)
+
+
+def test_stencil_keeps_the_corner_hull_clamp():
+    # corner values one ulp apart: the unclamped weighted sum can round
+    # outside them, and the stencil must clamp where the oracle does
+    grid = Grid(nx=8, ny=8)
+    rng = np.random.default_rng(5)
+    base = 0.1 + 0.2
+    values = base + rng.integers(0, 2, grid.shape) * np.spacing(base)
+    fx, fy = rng.random(5000) * grid.Lx, rng.random(5000) * grid.Ly
+    got = bilinear_stencil(grid, fx, fy).apply(values)
+    assert np.array_equal(got, oracle_bilinear(grid, values, fx, fy))
+    assert got.min() >= values.min() and got.max() <= values.max()
+
+
+def test_feet_stencil_matches_the_oracle_bitwise():
+    # u and v at the midpoints, then rho at the feet: each through one
+    # stencil, bitwise equal to interpolating at the oracle's points
+    grid = Grid(nx=24, ny=20, Lx=1.0, Ly=0.8)
+    rng = np.random.default_rng(7)
+    u = VectorField(grid, rng.standard_normal(grid.shape),
+                    rng.standard_normal(grid.shape))
+    rho = ScalarField(grid, 1.0 + rng.random(grid.shape))
+    for dt in (0.01, 0.05):
+        X, Y = grid.nodes()
+        mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
+        my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
+        mid = bilinear_stencil(grid, mx, my)
+        assert np.array_equal(mid.apply(u.u), oracle_bilinear(grid, u.u, mx, my))
+        assert np.array_equal(mid.apply(u.v), oracle_bilinear(grid, u.v, mx, my))
+        fx, fy = oracle_feet(grid, u, dt)
+        expected = oracle_bilinear(grid, rho.values, fx, fy)
+        feet = compute_feet(grid, u, dt)
+        assert np.array_equal(advect_values(grid, rho.values, feet), expected)
+        out, stencil = advect_density(rho, u, dt)
+        assert np.array_equal(out.values, expected)
+        assert np.array_equal(stencil.index, feet.index)
+        assert np.array_equal(stencil.weight, feet.weight)
+
+
+def test_advect_values_rejects_a_field_of_another_grid():
+    grid = Grid(nx=16, ny=16)
+    X, Y = grid.nodes()
+    with pytest.raises(ValueError, match="does not match grid"):
+        advect_values(grid, np.zeros((16, 16)), bilinear_stencil(grid, X, Y))
+
+
+def test_grid_nodes_are_built_once_and_read_only():
+    grid = Grid(nx=16, ny=12)
+    X, Y = grid.nodes()
+    assert grid.nodes()[0] is X and grid.nodes()[1] is Y
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
 
 
 def test_uniform_translation_order():
