@@ -12,11 +12,8 @@ so the rest of the momentum system, and mu(theta_old) with it, is built
 once per step.  The temperature step closes the step once, after
 convergence, because the momentum step sees only the previous step's
 temperature through the lagged viscosity; re-running it inside the loop
-would change nothing.  On step failure the
-time loop halves dt and retries, up to five halvings.  One
-`JacobianFactor` per run carries the thermal Jacobian's LU from step to
-step; it refactors itself when the Jacobian moves, as it does when dt is
-halved.
+would change nothing.  On step failure the time loop halves dt and
+retries, up to five halvings.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .errors import RunError, SolverError, StepError
 from .grid import Grid, ScalarField, VectorField, integrate_values
 from .momentum import momentum_system, step_momentum
 from .state import FluidState, Trajectory
-from .thermal import JacobianFactor, dissipation_field, step_temperature
+from .thermal import dissipation_field, step_temperature
 from .transport import advect_density
 
 MAX_DT_HALVINGS = 5
@@ -75,9 +72,9 @@ class Step:
 
 
 def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
-                     dt: float, factor: JacobianFactor | None = None) -> Step:
+                     dt: float) -> Step:
     """One converged time step of size dt from `prev.state`, whose
-    velocity is `prev.u_new`.  `factor` is handed to `step_temperature`."""
+    velocity is `prev.u_new`."""
     state = prev.state
     laws = config.laws()
     mu_old = state.viscosity(laws)
@@ -109,23 +106,23 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
     diss = dissipation_field(mu_old, u_new)
     # (delta + rho) theta moves through the stencil that carried rho_new
     theta_new = step_temperature(state.theta, rho_new, state.rho, stencil,
-                                 diss, dt, config.delta, laws, factor=factor)
+                                 diss, dt, config.delta, laws)
     new = FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
                      t=state.t + dt)
     return Step(state=new, u_new=u_new, diss=diss, sweeps=tuple(sweeps))
 
 
 def _advance(prev: Step, config: RunConfig, basis: StreamBasis,
-             dt: float, factor: JacobianFactor, depth: int = 0) -> list:
+             dt: float, depth: int = 0) -> list:
     """Advance by dt, halving on failure; returns the substeps' `Step`s."""
     try:
-        return [fixed_point_step(prev, config, basis, dt, factor=factor)]
+        return [fixed_point_step(prev, config, basis, dt)]
     except StepError:
         if depth >= MAX_DT_HALVINGS:
             raise
         half = 0.5 * dt
-        first = _advance(prev, config, basis, half, factor, depth + 1)
-        second = _advance(first[-1], config, basis, half, factor, depth + 1)
+        first = _advance(prev, config, basis, half, depth + 1)
+        second = _advance(first[-1], config, basis, half, depth + 1)
         return first + second
 
 
@@ -168,13 +165,12 @@ def run_simulation(config: RunConfig) -> Trajectory:
     traj.append(state)
     traj.records.append(_record(traj, None, step.u_new, None))
 
-    factor = JacobianFactor()
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
     e0 = traj.records[0].kinetic_energy + traj.records[0].thermal_energy
     while state.t < config.t_final - 1e-12 * max(config.t_final, 1.0):
         dt = min(config.dt, config.t_final - state.t)
         try:
-            steps = _advance(step, config, basis, dt, factor)
+            steps = _advance(step, config, basis, dt)
         except (SolverError, ValueError) as exc:
             # a ValueError here comes from inside the time loop (the config
             # was validated above), so it is a run failure like any other

@@ -15,28 +15,38 @@ gain from interpolation error.
 
 With the lagged conductivity the Newton Jacobian is
 
-    J = diag(D) - S = diag(D) + sum_f g_f (e_a - e_b)(e_a - e_b)^T,
-    D = W (a/dt + 3 delta t^2),  g_f = (kappa_a + kappa_b)/2 * (geometry),
+    J = diag(D) - S(kappa),  D = W (a/dt + 3 delta t^2),
 
-a positive diagonal plus one positive multiple of a rank-one PSD term
-per face.  If every D_n and every nodal kappa_n lies within a factor
-(1 +- eta) of the values J0 was built from, each term does too, so
-(1 - eta) J0 <= J <= (1 + eta) J0 in the Loewner order.  CG on J
-preconditioned by J0^-1 then sees a spectrum in [1 - eta, 1 + eta] and
-contracts the error in the J-norm by at least
-(sqrt(c) - 1)/(sqrt(c) + 1) ~ eta/2 per iteration, c = (1+eta)/(1-eta):
-at eta = 0.1, at most about 11 iterations reach the 1e-12 relative
-residual.  One sparse LU is therefore kept across Newton solves and
-across time steps, and `JacobianFactor.solve` refactors it only when
-eta = max(max|D/D0 - 1|, max|kappa/kappa0 - 1|) exceeds REFACTOR_ETA.
-Halving dt doubles a/dt, so a halved step always refactors.  Every
-solve is still checked to the same residual tolerance on J itself, so
-the rule decides only how many CG iterations a solve takes.
+and each Newton system is solved by CG preconditioned with
+
+    P = diag(sqrt kappa) (c W - S_1) diag(sqrt kappa),
+
+where S_1 is the unit-conductivity operator, W holds the trapezoid
+weights and c = sqrt(min * max) of D/(kappa W), worked out from each
+Jacobian.  On this uniform grid -S_1 = L_x (x) W_y + W_x (x) L_y, with
+L = (1/h) tridiag(-1, 2, -1) (corner entries 1) the 1-D Neumann
+stiffness.  L v = lambda W v has the W-orthonormal eigenvectors
+v_k(i) ~ cos(k pi i/n) with lambda_k = (4/h^2) sin^2(k pi/2n), so P^-1 is
+exact and needs no factorization: a transform on each axis, a diagonal
+divide by c + lambda_x + lambda_y, and the transforms back.  For a
+constant kappa and D = c kappa W, P = J.
+
+The sqrt(kappa) scaling is exact only for a constant kappa: otherwise P
+and J differ by a commutator term that grows with the node-to-node
+contrast of kappa.  On a 16^2 grid with D = kappa W and kappa drawn
+log-uniformly from node to node over 1, 2 and 3 decades, CG took up to
+113, 415 and 1,250 iterations.  kappa(theta) on the smooth temperatures
+runs produce stays far from that: about 7 iterations per solve, at most
+31 on the `stressed` benchmark workload.  Every solve is checked to a relative
+residual of 1e-12 on J itself within 2000 iterations; a miss is a
+`StepError`, and the time loop halves dt.  Diffusing K(theta)
+implicitly would remove the commutator and leave
+cond(P^-1 J) <= max(d/W) / min(d/W), d = D/kappa.
 """
 
 from __future__ import annotations
 
-import ctypes
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,9 +60,6 @@ from .transport import advect_values
 NEGATIVITY_GUARD = -1e-12
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 50
-# widest Loewner band (1 +- eta) around the factored Jacobian that its
-# LU still serves; see the module docstring
-REFACTOR_ETA = 0.1
 
 
 def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
@@ -91,80 +98,65 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
                     format="csr")
 
 
-def _band_eta(new: np.ndarray, old: np.ndarray) -> float:
-    """max |new/old - 1|, or inf when the shapes differ; NaN where old
-    is 0 counts as outside every band."""
-    if new.shape != old.shape:
-        return np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = float(np.max(np.abs(new / old - 1.0)))
-    return eta if eta == eta else np.inf
+@functools.lru_cache(maxsize=16)
+def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D Neumann eigenpairs on n + 1 nodes of spacing h: columns V
+    with L V = W V diag(lam) and V^T W V = I.  Read-only, built once per
+    (n, h)."""
+    k = np.arange(n + 1)
+    V = np.cos(np.pi * np.outer(k, k) / n) * np.sqrt(2.0 / (n * h))
+    # the constant and the alternating mode have twice the W-norm
+    V[:, [0, n]] *= np.sqrt(0.5)
+    lam = (4.0 / h ** 2) * np.sin(0.5 * np.pi * k / n) ** 2
+    V.flags.writeable = lam.flags.writeable = False
+    return V, lam
 
 
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim   # glibc only
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
+def cosine_preconditioner(grid: Grid, diag: np.ndarray,
+                          kappa: np.ndarray) -> spla.LinearOperator:
+    """P^-1 for the Jacobian diag(diag) - S(kappa), applied exactly by
+    cosine transforms (see the module docstring).  diag is flat; kappa
+    holds the positive nodal conductivities, flat or on the grid."""
+    Vx, lam_x = _cosine_modes(grid.nx, grid.hx)
+    Vy, lam_y = _cosine_modes(grid.ny, grid.hy)
+    d = diag / (kappa.ravel() * grid.quad_weights().ravel())
+    c = float(np.sqrt(d.min() * d.max()))
+    inv = 1.0 / (c + lam_x[:, None] + lam_y[None, :])
+    scale = (1.0 / np.sqrt(kappa)).reshape(grid.shape)
+
+    def apply(r):
+        R = r.reshape(grid.shape) * scale
+        Z = Vx @ ((Vx.T @ R @ Vy) * inv) @ Vy.T
+        return (Z * scale).ravel()
+
+    return spla.LinearOperator((diag.size, diag.size), matvec=apply,
+                               dtype=float)
 
 
-class JacobianFactor:
-    """The sparse LU of the last factored Newton Jacobian J0 = diag(D0) - S0,
-    with the D0 and nodal kappa0 it was built from.
-
-    One holder serves every Newton solve of a run.  `solve` refactors only
-    when the Jacobian has left the (1 +- REFACTOR_ETA) Loewner band around
-    J0 (see the module docstring)."""
-
-    def __init__(self):
-        self._lu = None
-        self._diag = None
-        self._kappa = None
-
-    def solve(self, S: sp.csr_matrix, diag: np.ndarray, kappa: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
-        """Solve (diag(diag) - S(kappa)) x = rhs by CG preconditioned with
-        J0's LU, to a relative residual of 1e-12 on J itself."""
-        # S's pattern holds the diagonal, so no pattern merge is needed
-        J = -S
-        J.setdiag(diag - S.diagonal())
-        if (self._lu is None
-                or max(_band_eta(diag, self._diag),
-                       _band_eta(kappa, self._kappa)) > REFACTOR_ETA):
-            # Release the old factor first, so two are never alive at once,
-            # and trim the C heap: SuperLU reserves about ten times what its
-            # factor fills, and without the trim each successor touches new
-            # pages (+3 MB resident over 11 refactorizations on `stressed`).
-            self._lu = self._diag = self._kappa = None
-            if _malloc_trim is not None:
-                _malloc_trim(0)
-            # minimum-degree ordering on the symmetric pattern, diagonal
-            # pivots (J is SPD); narrow panels, no relaxed supernodes
-            self._lu = spla.splu(
-                J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True), panel_size=4, relax=1)
-            self._diag = diag.copy()
-            self._kappa = kappa.copy()
-        precond = spla.LinearOperator(J.shape, matvec=self._lu.solve,
-                                      dtype=float)
-        sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000,
-                            M=precond)
-        if info != 0:
-            raise StepError(f"conjugate gradient failed to converge (info={info})")
-        return sol
+def _newton_solve(grid: Grid, S: sp.csr_matrix, diag: np.ndarray,
+                  kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(diag) - S) x = rhs, S = S(kappa), by CG preconditioned
+    with `cosine_preconditioner`, to a relative residual of 1e-12 on J."""
+    # S's pattern holds the diagonal, so no pattern merge is needed
+    J = -S
+    J.setdiag(diag - S.diagonal())
+    sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000,
+                        M=cosine_preconditioner(grid, diag, kappa))
+    if info != 0:
+        raise StepError(f"conjugate gradient failed to converge (info={info})")
+    return sol
 
 
 def step_temperature(theta: ScalarField, rho_new: ScalarField,
                      rho_old: ScalarField, stencil, diss: ScalarField,
-                     dt: float, delta: float, laws,
-                     factor: JacobianFactor | None = None) -> ScalarField:
+                     dt: float, delta: float, laws) -> ScalarField:
     """One backward-Euler step of size dt; returns the new non-negative
     temperature.
 
     `stencil` is the `transport.Stencil` of the characteristic feet
     through which rho_old became rho_new, as `advect_density` returns
     it, or None when nothing moved.  `laws` must expose `conductivity`, a
-    `ConductivityLaw`.  `factor` carries the Jacobian's LU from earlier
-    steps; None starts with nothing factored.
+    `ConductivityLaw`.
     """
     grid = theta.grid
     if dt <= 0:
@@ -212,8 +204,6 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     # max|S| |t| 2^-52, which reaches several 1e-12 scale once kappa(theta)
     # is large (theta ~ 20).  Newton therefore also stops, inside the
     # tolerance, as soon as the residual has stopped contracting.
-    if factor is None:
-        factor = JacobianFactor()
     f_prev = np.inf
     for _ in range(NEWTON_MAX):
         F = residual(t)
@@ -222,7 +212,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
             break
         f_prev = f_max
         diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
-        upd = factor.solve(S, diag, kappa_old, -F)
+        upd = _newton_solve(grid, S, diag, kappa_old, -F)
         t = t + upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
             break

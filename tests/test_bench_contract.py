@@ -170,31 +170,34 @@ def test_a_missing_name_is_caught():
     assert not _resolves("nsfourier.no_such_module.name")
 
 
-def test_step_temperature_calls_cg_and_splu_through_scipy(monkeypatch):
-    # the tracer's `thermal.cg` span and `cg_iters_per_solve` patch
-    # scipy.sparse.linalg.cg on the module object, so a name bound by
-    # `from scipy.sparse.linalg import cg` would slip past them unseen
+def test_step_temperature_calls_cg_through_scipy_once_per_newton_solve(
+        monkeypatch):
+    # the tracer's `thermal.cg` span patches scipy.sparse.linalg.cg on the
+    # module object, so a name bound by `from scipy.sparse.linalg import
+    # cg` would slip past it unseen; it also counts Newton solves as cg
+    # calls, and `cg_iters_per_solve` divides by that count
     import numpy as np
     import scipy.sparse.linalg as spla
 
+    import nsfourier.thermal as thermal
     from nsfourier.config import RunConfig
     from nsfourier.grid import Grid, ScalarField
-    from nsfourier.thermal import step_temperature
 
     calls = []
-    for name in ("cg", "splu"):
-        def counted(*args, _fn=getattr(spla, name), _name=name, **kwargs):
+    for owner, name in ((spla, "cg"), (thermal, "_newton_solve")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(spla, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     grid = Grid(nx=8, ny=8)
     X, _ = grid.nodes()
     theta = ScalarField(grid, 0.5 + 0.1 * np.cos(np.pi * X))
     rho = ScalarField.constant(grid, 1.0)
-    step_temperature(theta, rho, rho, None, ScalarField.constant(grid, 0.0),
-                     0.01, 0.01, RunConfig().laws())
-    assert calls[0] == "splu"
-    assert "cg" in calls
+    thermal.step_temperature(theta, rho, rho, None,
+                             ScalarField.constant(grid, 1.0), 0.01, 0.5,
+                             RunConfig().laws())
+    assert len(calls) >= 4
+    assert calls == ["_newton_solve", "cg"] * (len(calls) // 2)
 
 
 def test_tracer_assembly_work_reads_a_built_basis():

@@ -117,6 +117,40 @@ def test_run_command(config_path, tmp_path, capsys):
     assert header.startswith("time,kinetic_energy,thermal_energy,")
 
 
+def summary(text: str) -> dict:
+    """The `key = value` lines of a `[summary]` block."""
+    lines = text.split("[summary]\n", 1)[1].splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+@pytest.mark.parametrize("t_final", [0.03, 0.0])
+def test_run_summary_reports_the_steps_worst_energy_slack(
+        t_final, tmp_path, capsys, monkeypatch):
+    # the initial record's slack is a 0.0 placeholder, not a step's slack:
+    # the summary takes the energy check's maximum over the steps, which
+    # is -inf, the empty maximum, when no step ran
+    config = RunConfig(nx=24, ny=24, n_modes=6, t_final=t_final, dt=0.01,
+                       m0_amplitude=0.01)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(config))
+    runs = []
+
+    def keep(config):
+        runs.append(coupler.run_simulation(config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", keep)
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+    slacks = [r.energy_slack for r in runs[0].records[1:]]
+    reported = summary(capsys.readouterr().out)["max_energy_slack"]
+    assert reported == repr(max(slacks, default=float("-inf")))
+    if t_final > 0:
+        assert len(slacks) == 3
+        assert max(slacks) != 0.0
+    else:
+        assert reported == "-inf"
+
+
 def test_run_snapshots_read_back_bitwise(tmp_path, monkeypatch):
     # output_every 2 over 5 steps: states 0, 2, 4 and the final state 5
     config = RunConfig(nx=16, ny=12, Lx=1.3, Ly=0.7, n_modes=4, t_final=0.05,
