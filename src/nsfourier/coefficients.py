@@ -27,7 +27,8 @@ _ADMISSIBILITY_TOL = 1e-12
 
 def _require_nonneg(theta, what="theta"):
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < 0):
+    # a NaN makes min() NaN and passes, as it passes np.any(arr < 0)
+    if arr.size and arr.min() < 0:
         raise ValueError(f"{what} must be non-negative")
     return arr
 
@@ -160,8 +161,8 @@ class RenormFunction:
             raise ValueError("power exponent must be positive and finite")
         return cls(
             form="power",
-            h=lambda z: (1.0 + z) ** (-l),
-            dh=lambda z: -l * (1.0 + z) ** (-l - 1.0),
+            h=lambda z: _power_values(l, z).h,
+            dh=lambda z: _power_values(l, z).dh,
             d2h=lambda z: l * (l + 1.0) * (1.0 + z) ** (-l - 2.0),
             exponent=l,
         )
@@ -191,16 +192,65 @@ class RenormFunction:
         return cls(form="custom", h=h, dh=dh, d2h=d2h)
 
 
+@dataclass(frozen=True)
+class RenormValues:
+    """h, h', H and K_h of a power-family h on one temperature field; K_h
+    is None where no conductivity law was given."""
+
+    h: np.ndarray
+    dh: np.ndarray
+    H: np.ndarray
+    K_h: np.ndarray | None
+
+
+def _power_integral(j: int, l: float, arr, tjp):
+    """int_0^theta (1+z)^(j-1-l) dz = (t^(j-l) - 1)/(j-l) with t = 1 + theta,
+    given tjp = t^j p = t^(j-l); log1p(theta) where j = l."""
+    if j == l:
+        return np.log1p(arr)
+    return (tjp - 1.0) / (j - l)
+
+
+def _power_values(l: float, arr, kappa_lo: float | None = None) -> RenormValues:
+    """The power family h = (1+theta)^(-l), formed from the one power
+    p = t^(-l), t = 1 + theta: h = p, h' = -l p/t, H = int_0^theta h, and,
+    given a canonical law's kappa_lo, K_h = kappa_lo (I_3 - 2 I_2 + 2 H)
+    with I_j = int_0^theta (1+z)^(j-1-l) dz (the substitution t = 1+z
+    turns kappa h into kappa_lo (t^2 - 2t + 2) t^(-l))."""
+    t = 1.0 + arr
+    p = t ** (-l)
+    tp = t * p
+    H = _power_integral(1, l, arr, tp)
+    K_h = None
+    if kappa_lo is not None:
+        t2p = t * tp
+        K_h = kappa_lo * (_power_integral(3, l, arr, t * t2p)
+                          - 2.0 * _power_integral(2, l, arr, t2p) + 2.0 * H)
+    return RenormValues(h=p, dh=-l * p / t, H=H, K_h=K_h)
+
+
+def _require_closed_form(h: RenormFunction, law: ConductivityLaw) -> None:
+    if law.form != "canonical" or h.form != "power":
+        raise CapabilityError(
+            f"no closed-form K_h for the {h.form} renorm function with the "
+            f"{law.form} law")
+
+
+def eval_renorm(h: RenormFunction, law: ConductivityLaw, theta) -> RenormValues:
+    """h, h', H and K_h on the array theta in one evaluation, the values
+    `eval_H` and `eval_K_h` give; CapabilityError for every pair but the
+    power family with the canonical law."""
+    arr = _require_nonneg(theta)
+    _require_closed_form(h, law)
+    return _power_values(h.exponent, arr, law.kappa_lo)
+
+
 def eval_H(h: RenormFunction, theta):
     """H(theta) = int_0^theta h in closed form; CapabilityError for an h
     outside the built-in families."""
     arr = _require_nonneg(theta)
     if h.form == "power":
-        l = h.exponent
-        if l == 1.0:
-            out = np.log1p(arr)
-        else:
-            out = ((1.0 + arr) ** (1.0 - l) - 1.0) / (1.0 - l)
+        out = _power_values(h.exponent, arr).H
     elif h.form == "truncated-log":
         top = np.minimum(arr, h.cutoff - h.omega)
         out = np.where(top > 0, np.log((np.maximum(top, 0.0) + h.omega) / h.omega), 0.0)
@@ -212,28 +262,10 @@ def eval_H(h: RenormFunction, theta):
 def eval_K_h(h: RenormFunction, law: ConductivityLaw, theta):
     """K_h(theta) = int_0^theta kappa(z) h(z) dz.
 
-    Closed form for canonical kappa with the power family (substituting
-    t = 1+z turns the integrand into kappa_lo (t^2 - 2t + 2) t^(-l));
-    every other pair raises CapabilityError.
+    Closed form for canonical kappa with the power family; every other
+    pair raises CapabilityError.
     """
-    arr = _require_nonneg(theta)
-    if law.form != "canonical" or h.form != "power":
-        raise CapabilityError(
-            f"no closed-form K_h for the {h.form} renorm function with the "
-            f"{law.form} law")
-    l = h.exponent
-    t = 1.0 + arr
-
-    def antider(tv):
-        first = tv ** (3.0 - l) / (3.0 - l)
-        second = -2.0 * tv ** (2.0 - l) / (2.0 - l)
-        if l == 1.0:
-            third = 2.0 * np.log(tv)
-        else:
-            third = 2.0 * tv ** (1.0 - l) / (1.0 - l)
-        return first + second + third
-
-    out = law.kappa_lo * (antider(t) - antider(1.0))
+    out = eval_renorm(h, law, theta).K_h
     return out if np.ndim(theta) else float(out)
 
 

@@ -71,12 +71,9 @@ class Lemma62Params:
             raise ValueError("U0 must be non-negative and finite")
 
 
-def truncation_phi(theta, C_k: float, omega: float = 0.0):
-    """[ln(C_k / (theta + omega))]_+; zero once theta + omega >= C_k."""
-    if C_k <= 0:
-        raise ValueError("C_k must be positive")
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
+def _shifted(theta, omega: float) -> np.ndarray:
+    """theta + omega, after the checks every truncation of theta needs:
+    theta >= 0 and theta + omega != 0."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0):
         raise ValueError("theta must be non-negative")
@@ -84,7 +81,20 @@ def truncation_phi(theta, C_k: float, omega: float = 0.0):
     if np.any(shifted == 0.0):
         raise DegenerateInputError(
             "truncation is infinite where theta + omega = 0")
-    out = np.maximum(np.log(C_k / shifted), 0.0)
+    return shifted
+
+
+def _truncate(shifted: np.ndarray, C_k: float) -> np.ndarray:
+    return np.maximum(np.log(C_k / shifted), 0.0)
+
+
+def truncation_phi(theta, C_k: float, omega: float = 0.0):
+    """[ln(C_k / (theta + omega))]_+; zero once theta + omega >= C_k."""
+    if C_k <= 0:
+        raise ValueError("C_k must be positive")
+    if omega < 0:
+        raise ValueError("omega must be non-negative")
+    out = _truncate(_shifted(theta, omega), C_k)
     return out if out.ndim else float(out)
 
 
@@ -93,24 +103,31 @@ def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder) -> np.ndarray:
     (k_max + 1, n_states, 3): the (delta + rho) phi_k term, the dissipation
     term and the gradient term of every stored state at every rung.
 
-    Each state's fields (velocity, |D(u)|^2, mu, kappa, |grad theta|^2) are
-    built once for all rungs and dropped before the next state, so memory
-    does not grow with the trajectory.
+    A rung is live for a state when its level C_k reaches min(theta +
+    omega); below that the sub-level set is empty, phi_k = 0 and the
+    three integrals are exactly 0.0, so nothing is evaluated.  A state
+    with a live rung builds its fields (velocity, |D(u)|^2, mu, kappa,
+    |grad theta|^2) once for all its live rungs and drops them before the
+    next state, so memory does not grow with the trajectory.
     """
     grid = traj.grid
-    out = np.empty((ladder.k_max + 1, len(traj.states), 3))
+    out = np.zeros((ladder.k_max + 1, len(traj.states), 3))
     for j, s in enumerate(traj.states):
-        shifted = s.theta.values + ladder.omega
+        shifted = _shifted(s.theta.values, ladder.omega)
+        live = np.flatnonzero(shifted.min() <= ladder.levels)
+        if live.size == 0:
+            continue
         dsq = s.velocity(traj.basis).strain_sq()
         mu = s.viscosity(traj.laws).values
         tgx, tgy = grad_values(grid, s.theta.values)
         grad_sq = tgx ** 2 + tgy ** 2
         kap = np.asarray(eval_conductivity(traj.laws.conductivity, s.theta.values))
-        for k, C_k in enumerate(ladder.levels):
-            phi = truncation_phi(s.theta.values, C_k, ladder.omega)
+        for k in live:
+            C_k = ladder.levels[k]
             mask = shifted <= C_k
             out[k, j] = (
-                integrate_values(grid, (traj.delta + s.rho.values) * phi),
+                integrate_values(grid, (traj.delta + s.rho.values)
+                                 * _truncate(shifted, C_k)),
                 integrate_values(grid, mask * mu / shifted * dsq),
                 integrate_values(grid, mask * kap / shifted ** 2 * grad_sq))
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .coefficients import (RenormFunction, check_h_admissible,
-                           eval_conductivity, eval_H, eval_K_h)
+                           eval_conductivity, eval_renorm)
 from .grid import grad_values, h1_sq_values, integrate_values, norm_H1
 from .state import Trajectory
 from .thermal import dissipation_field
@@ -174,9 +174,6 @@ class SeparableTestFunction:
             return 0.0
         return max(1.0 - t / self.T, 0.0) ** self.time_power
 
-    def at(self, t: float) -> np.ndarray:
-        return self.psi(t) * self.chi
-
 
 def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
                   laws) -> dict:
@@ -202,41 +199,43 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
 
     grid = traj.grid
     law = traj.laws.conductivity
+    # phi = psi(t) chi(x) enters every term linearly: the trapezoid weights
+    # times chi, grad chi and lap chi are formed once, and each term of
+    # each step is one dot product with them, scaled by psi
+    w = grid.quad_weights()
+    w_chi, w_chi_x, w_chi_y, w_lap_chi = (
+        (w * f).ravel() for f in (phi.chi, *phi.grad_chi, phi.lap_chi))
+
+    def weighted(w_f, values):
+        return float(w_f @ values.ravel())
+
+    psi = [phi.psi(s.t) for s in traj.states]
     init = traj.states[0]
-    H_old = H0 = np.asarray(eval_H(h, init.theta.values))
+    # int (delta + rho) H chi of the state before the step, the time term's
+    # integrand without psi
+    mass_old = weighted(w_chi, (traj.delta + init.rho.values)
+                        * eval_renorm(h, law, init.theta.values).H)
+    r3 = -psi[0] * mass_old
     t1 = t2 = t3 = t4 = r1 = r2 = 0.0
     for m in range(len(traj.states) - 1):
         old, new = traj.states[m], traj.states[m + 1]
-        dt = new.t - old.t
-        a_old = traj.delta + old.rho.values
-        dphi = phi.at(new.t) - phi.at(old.t)
-        t1 += integrate_values(grid, a_old * H_old * dphi)
+        theta = new.theta.values
+        t1 += (psi[m + 1] - psi[m]) * mass_old
 
-        psi1 = phi.psi(new.t)
+        hv = eval_renorm(h, law, theta)
         u1 = new.velocity(traj.basis)
-        H_new = np.asarray(eval_H(h, new.theta.values))
-        conv = u1.u * phi.grad_chi[0] + u1.v * phi.grad_chi[1]
-        t2 += dt * psi1 * integrate_values(grid, new.rho.values * H_new * conv)
-
-        Kh_new = np.asarray(eval_K_h(h, law, new.theta.values))
-        t3 += dt * psi1 * integrate_values(grid, Kh_new * phi.lap_chi)
-
-        hv_new = np.asarray(h.h(new.theta.values))
-        t4 -= dt * psi1 * integrate_values(
-            grid, traj.delta * new.theta.values ** 3 * hv_new * phi.chi)
-
         diss = dissipation_field(old.viscosity(traj.laws), u1).values
-        r1 += dt * psi1 * integrate_values(
-            grid, (traj.delta - 1.0) * diss * hv_new * phi.chi)
-
-        tgx, tgy = grad_values(grid, new.theta.values)
-        kap = np.asarray(eval_conductivity(law, new.theta.values))
-        dh_new = np.asarray(h.dh(new.theta.values))
-        r2 += dt * psi1 * integrate_values(
-            grid, dh_new * kap * (tgx ** 2 + tgy ** 2) * phi.chi)
-        H_old = H_new
-
-    r3 = -integrate_values(grid, (traj.delta + init.rho.values) * H0 * phi.at(init.t))
+        tgx, tgy = grad_values(grid, theta)
+        kap = np.asarray(eval_conductivity(law, theta))
+        rho_H = new.rho.values * hv.H
+        dt_psi = (new.t - old.t) * psi[m + 1]
+        t2 += dt_psi * (weighted(w_chi_x, rho_H * u1.u)
+                       + weighted(w_chi_y, rho_H * u1.v))
+        t3 += dt_psi * weighted(w_lap_chi, hv.K_h)
+        t4 -= dt_psi * traj.delta * weighted(w_chi, theta * theta * theta * hv.h)
+        r1 += dt_psi * (traj.delta - 1.0) * weighted(w_chi, diss * hv.h)
+        r2 += dt_psi * weighted(w_chi, hv.dh * kap * (tgx ** 2 + tgy ** 2))
+        mass_old = weighted(w_chi, (traj.delta + new.rho.values) * hv.H)
 
     lhs = t1 + t2 + t3 + t4
     rhs = r1 + r2 + r3

@@ -150,13 +150,16 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
 
 
 def _d_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Centered interior / one-sided second-order boundary first derivative."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    """Centered interior / one-sided second-order boundary first derivative
+    of a 2-D nodal array along `axis` (0 or 1)."""
+    out = np.empty_like(values)
+    # the same three stencils on both axes: along y they run on the
+    # transposed views, which share memory with values and out
+    f, g = (values, out) if axis == 0 else (values.T, out.T)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return out
 
 
 def grad_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

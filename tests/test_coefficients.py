@@ -8,7 +8,7 @@ from scipy import integrate as sint
 from nsfourier.coefficients import (ConductivityLaw, RenormFunction,
                                     ViscosityLaw, check_h_admissible,
                                     eval_conductivity, eval_H, eval_K_h,
-                                    eval_viscosity, kirchhoff_K,
+                                    eval_renorm, eval_viscosity, kirchhoff_K,
                                     kirchhoff_K_inverse)
 from nsfourier.errors import CapabilityError
 
@@ -145,6 +145,46 @@ def test_transforms_without_closed_form_raise(canonical):
         eval_K_h(RenormFunction.power(1.0), tabulated, 1.0)
     with pytest.raises(CapabilityError):
         eval_K_h(RenormFunction.truncated_log(0.5, 5.0), canonical, 1.0)
+    for h, law in ((custom, canonical), (RenormFunction.power(1.0), tabulated),
+                   (RenormFunction.truncated_log(0.5, 5.0), canonical)):
+        with pytest.raises(CapabilityError):
+            eval_renorm(h, law, np.ones(3))
+
+
+@pytest.mark.parametrize("l", [1.0, 0.5, 0.25])
+def test_one_evaluation_gives_h_dh_H_and_K_h(l):
+    # the power family's four values come from one power p = (1+theta)^(-l)
+    # and equal what each quantity's own entry point gives, bitwise
+    law = ConductivityLaw(kappa_lo=0.7, kappa_hi=2.0)
+    h = RenormFunction.power(l)
+    theta = np.linspace(0.0, 30.0, 301)
+    values = eval_renorm(h, law, theta)
+    assert np.array_equal(values.h, h.h(theta))
+    assert np.array_equal(values.dh, h.dh(theta))
+    assert np.array_equal(values.H, eval_H(h, theta))
+    assert np.array_equal(values.K_h, eval_K_h(h, law, theta))
+    # against the closed forms with their own powers
+    t = 1.0 + theta
+    assert np.allclose(values.h, t ** (-l), rtol=1e-15, atol=0.0)
+    assert np.allclose(values.dh, -l * t ** (-l - 1.0), rtol=1e-15, atol=0.0)
+    if l == 1.0:
+        H, third = np.log1p(theta), 2.0 * np.log(t)
+    else:
+        H = (t ** (1.0 - l) - 1.0) / (1.0 - l)
+        third = 2.0 * (t ** (1.0 - l) - 1.0) / (1.0 - l)
+    K_h = law.kappa_lo * ((t ** (3.0 - l) - 1.0) / (3.0 - l)
+                          - 2.0 * (t ** (2.0 - l) - 1.0) / (2.0 - l) + third)
+    assert np.allclose(values.H, H, rtol=1e-14, atol=1e-300)
+    assert np.allclose(values.K_h, K_h, rtol=1e-14, atol=1e-300)
+
+
+def test_K_h_where_an_exponent_meets_l(canonical):
+    # l = 2: the t^(2-l) term integrates to a logarithm
+    h = RenormFunction.power(2.0)
+    theta = 1.5
+    ref = sint.quad(lambda z: eval_conductivity(canonical, z) * (1.0 + z) ** -2.0,
+                    0.0, theta, epsabs=0, epsrel=1e-13)[0]
+    assert eval_K_h(h, canonical, theta) == pytest.approx(ref, rel=1e-12)
 
 
 def test_kirchhoff_tabulated_matches_quadrature():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from nsfourier import degiorgi
 from nsfourier.basis import build_basis
 from nsfourier.config import Laws
-from nsfourier.coefficients import ConductivityLaw, ViscosityLaw
+from nsfourier.coefficients import (ConductivityLaw, ViscosityLaw,
+                                    eval_conductivity)
 from nsfourier.degiorgi import (DeGiorgiLadder, Lemma62Params, build_ladder,
                                 ladder_run, lemma62_iterate, lemma62_threshold,
                                 level_energy, rung_integrals,
                                 truncation_phi, certificate_text)
 from nsfourier.errors import DegenerateInputError
-from nsfourier.grid import Grid, ScalarField
+from nsfourier.grid import Grid, ScalarField, grad_values, integrate_values
 from nsfourier.state import FluidState, Trajectory
 
 
@@ -72,6 +74,27 @@ def test_build_ladder_rejects_a_bad_floor(theta_floor):
         build_ladder(theta_floor)
 
 
+def moving_trajectory(thetas):
+    """States with a moving velocity and the given temperature fields."""
+    grid = Grid(nx=16, ny=16)
+    X, Y = grid.nodes()
+    base = make_trajectory(0.1)
+    traj = Trajectory(grid=grid, basis=base.basis, laws=base.laws,
+                      eps=1e-3, delta=0.1)
+    for i, theta in enumerate(thetas):
+        traj.append(FluidState(rho=ScalarField(grid, 1.0 + 0.2 * Y),
+                               coeffs=np.array([0.3, -0.1 * i]),
+                               theta=ScalarField(grid, theta), t=0.1 * i))
+    return traj
+
+
+def live_rung_thetas():
+    """Four temperature fields from 0.05 up, with several live rungs at
+    M = 3, omega = 0.01."""
+    X, Y = Grid(nx=16, ny=16).nodes()
+    return [0.05 + 0.3 * X * (1.0 + Y) + 0.01 * i for i in range(4)]
+
+
 def test_level_energy_constant_state_hand_value():
     c = 0.3
     delta = 0.1
@@ -127,16 +150,7 @@ def test_ladder_run_detects_cold_trajectory():
 def test_ladder_run_builds_each_state_once(monkeypatch):
     import nsfourier.state as state
 
-    grid = Grid(nx=16, ny=16)
-    X, Y = grid.nodes()
-    base = make_trajectory(0.1)
-    traj = Trajectory(grid=grid, basis=base.basis, laws=base.laws,
-                      eps=1e-3, delta=0.1)
-    for i in range(4):
-        theta = 0.05 + 0.3 * X * (1.0 + Y) + 0.01 * i
-        traj.append(FluidState(rho=ScalarField(grid, 1.0 + 0.2 * Y),
-                               coeffs=np.array([0.3, -0.1 * i]),
-                               theta=ScalarField(grid, theta), t=0.1 * i))
+    traj = moving_trajectory(live_rung_thetas())
     calls = []
     reconstruct = state.reconstruct_velocity
 
@@ -154,6 +168,93 @@ def test_ladder_run_builds_each_state_once(monkeypatch):
                 for k in range(6)]
     assert sum(u > 0.0 for u in per_rung) >= 3
     assert cert["U_sequence"] == per_rung
+
+
+def oracle_rung_integrals(traj, ladder):
+    """The per-rung loop `rung_integrals` replaced, kept as an oracle: every
+    rung of every state evaluated, through `truncation_phi`."""
+    grid = traj.grid
+    out = np.empty((ladder.k_max + 1, len(traj.states), 3))
+    for j, s in enumerate(traj.states):
+        shifted = s.theta.values + ladder.omega
+        dsq = s.velocity(traj.basis).strain_sq()
+        mu = s.viscosity(traj.laws).values
+        tgx, tgy = grad_values(grid, s.theta.values)
+        grad_sq = tgx ** 2 + tgy ** 2
+        kap = np.asarray(eval_conductivity(traj.laws.conductivity,
+                                           s.theta.values))
+        for k, C_k in enumerate(ladder.levels):
+            phi = truncation_phi(s.theta.values, C_k, ladder.omega)
+            mask = shifted <= C_k
+            out[k, j] = (
+                integrate_values(grid, (traj.delta + s.rho.values) * phi),
+                integrate_values(grid, mask * mu / shifted * dsq),
+                integrate_values(grid, mask * kap / shifted ** 2 * grad_sq))
+    return out
+
+
+def assert_matches_the_per_rung_oracle(traj, monkeypatch, **kwargs):
+    ladder = build_ladder(kwargs["theta_floor"], kwargs["k_max"],
+                          kwargs["omega"], kwargs["M"])
+    integrals = rung_integrals(traj, ladder)
+    assert np.array_equal(integrals, oracle_rung_integrals(traj, ladder))
+    cert = ladder_run(traj, **kwargs)
+    monkeypatch.setattr(degiorgi, "rung_integrals", oracle_rung_integrals)
+    assert repr(cert) == repr(ladder_run(traj, **kwargs))
+    return integrals
+
+
+def test_rung_integrals_match_the_per_rung_oracle_on_live_rungs(monkeypatch):
+    traj = moving_trajectory(live_rung_thetas())
+    integrals = assert_matches_the_per_rung_oracle(
+        traj, monkeypatch, theta_floor=0.05, k_max=5, omega=0.01, M=3.0)
+    live = np.any(integrals != 0.0, axis=(1, 2))
+    assert 3 <= live.sum() < len(live)
+
+
+def test_a_rung_whose_level_equals_the_minimum_is_live(monkeypatch):
+    # min(theta + omega) == C_k exactly: the sub-level set {theta + omega
+    # <= C_k} holds that node, so rung k is evaluated, not skipped
+    k = 3
+    ladder = build_ladder(0.05, k_max=5, omega=0.0, M=3.0)
+    grid = Grid(nx=16, ny=16)
+    X, Y = grid.nodes()
+    # minimum at an interior node, where the velocity strain and the
+    # centred y difference of theta are non-zero
+    dx, dy = X - X[5, 7], Y - Y[5, 7]
+    theta = ladder.levels[k] + 0.5 * dx ** 2 + np.where(dy > 0, 0.6, 0.2) * dy ** 2
+    assert theta.min() == ladder.levels[k]
+    assert np.count_nonzero(theta == ladder.levels[k]) == 1
+    traj = moving_trajectory([theta, theta + 0.5])
+    integrals = assert_matches_the_per_rung_oracle(
+        traj, monkeypatch, theta_floor=0.05, k_max=5, omega=0.0, M=3.0)
+    assert integrals[k, 0, 0] == 0.0
+    assert integrals[k, 0, 1] > 0.0 and integrals[k, 0, 2] > 0.0
+    assert np.all(integrals[k + 1:, 0] == 0.0)
+
+
+def test_a_state_with_every_rung_empty_builds_no_velocity(monkeypatch):
+    import nsfourier.state as state
+
+    grid = Grid(nx=16, ny=16)
+    X, Y = grid.nodes()
+    # the second state lies above C_0 = 1 everywhere
+    traj = moving_trajectory([0.3 + 0.2 * X * Y, 1.5 + 0.2 * X * Y,
+                              0.4 + 0.1 * Y])
+    calls = []
+    reconstruct = state.reconstruct_velocity
+
+    def counted(*args):
+        calls.append(args[1])
+        return reconstruct(*args)
+
+    monkeypatch.setattr(state, "reconstruct_velocity", counted)
+    ladder_run(traj, theta_floor=0.2, k_max=6)
+    assert [c.tolist() for c in calls] == [
+        traj.states[j].coeffs.tolist() for j in (0, 2)]
+    integrals = assert_matches_the_per_rung_oracle(
+        traj, monkeypatch, theta_floor=0.2, k_max=6, omega=0.0, M=None)
+    assert np.all(integrals[:, 1] == 0.0)
 
 
 def test_ladder_run_reads_the_trajectorys_delta_and_laws():

@@ -5,7 +5,9 @@ import pytest
 
 from nsfourier import diagnostics
 from nsfourier.basis import build_basis
-from nsfourier.coefficients import RenormFunction, ViscosityLaw, eval_H
+from nsfourier.coefficients import (ConductivityLaw, RenormFunction,
+                                    ViscosityLaw, eval_conductivity,
+                                    eval_renorm)
 from nsfourier.config import Laws, RunConfig
 from nsfourier.coupler import run_simulation
 from nsfourier.diagnostics import (CSV_COLUMNS, ENERGY_SLACK_FACTOR,
@@ -14,7 +16,8 @@ from nsfourier.diagnostics import (CSV_COLUMNS, ENERGY_SLACK_FACTOR,
                                    diagnostics_csv_text, energy_report,
                                    energy_slack, renorm_report, step_sinks)
 from nsfourier.errors import CapabilityError
-from nsfourier.grid import Grid, ScalarField, h1_sq_values, integrate_values
+from nsfourier.grid import (Grid, ScalarField, grad_values, h1_sq_values,
+                            integrate_values)
 from nsfourier.state import FluidState, Trajectory
 from nsfourier.thermal import dissipation_field
 
@@ -193,7 +196,7 @@ def test_test_function_preconditions():
         SeparableTestFunction(grid, 1.0, amp=1.2)
     phi = SeparableTestFunction(grid, 1.0, amp=0.5)
     assert phi.psi(1.0) == 0.0
-    assert np.all(phi.at(0.0) >= 0.0)
+    assert np.all(phi.psi(0.0) * phi.chi >= 0.0)
 
 
 def test_renorm_rejects_phi_not_vanishing_at_T(small_run):
@@ -263,20 +266,125 @@ def test_apriori_monitor_finite(small_run):
 
 
 def test_renorm_report_evaluates_H_once_per_state(small_run, monkeypatch):
+    # H, K_h, h and h' of a state come from one `eval_renorm` call, and
+    # each state's H serves both steps it borders
     config, traj = small_run
     phi = SeparableTestFunction(traj.grid, traj.final.t)
     h = RenormFunction.power(0.5)
     before = renorm_report(traj, h, phi, config.delta, traj.laws)
     calls = []
 
-    def counted(h, theta):
+    def counted(h, law, theta):
         calls.append(theta)
-        return eval_H(h, theta)
+        return eval_renorm(h, law, theta)
 
-    monkeypatch.setattr(diagnostics, "eval_H", counted)
+    monkeypatch.setattr(diagnostics, "eval_renorm", counted)
     after = renorm_report(traj, h, phi, config.delta, traj.laws)
     assert len(calls) == len(traj.states)
+    assert all(c is s.theta.values for c, s in zip(calls, traj.states))
     assert repr(after) == repr(before)
+
+
+def oracle_H(l, theta):
+    if l == 1.0:
+        return np.log1p(theta)
+    return ((1.0 + theta) ** (1.0 - l) - 1.0) / (1.0 - l)
+
+
+def oracle_K_h(l, kappa_lo, theta):
+    def antider(tv):
+        first = tv ** (3.0 - l) / (3.0 - l)
+        second = -2.0 * tv ** (2.0 - l) / (2.0 - l)
+        if l == 1.0:
+            third = 2.0 * np.log(tv)
+        else:
+            third = 2.0 * tv ** (1.0 - l) / (1.0 - l)
+        return first + second + third
+
+    return kappa_lo * (antider(1.0 + theta) - antider(1.0))
+
+
+def oracle_renorm_report(traj, h, phi):
+    """The per-step loop `renorm_report` replaced, kept as an oracle for the
+    power family: phi evaluated at both ends of each step, h, h', H and K_h
+    each from its own closed form with its own powers, every term one
+    trapezoid integral."""
+    grid = traj.grid
+    law = traj.laws.conductivity
+    l = h.exponent
+    init = traj.states[0]
+    H_old = H0 = oracle_H(l, init.theta.values)
+    t1 = t2 = t3 = t4 = r1 = r2 = 0.0
+    for m in range(len(traj.states) - 1):
+        old, new = traj.states[m], traj.states[m + 1]
+        dt = new.t - old.t
+        a_old = traj.delta + old.rho.values
+        dphi = phi.psi(new.t) * phi.chi - phi.psi(old.t) * phi.chi
+        t1 += integrate_values(grid, a_old * H_old * dphi)
+        psi1 = phi.psi(new.t)
+        u1 = new.velocity(traj.basis)
+        H_new = oracle_H(l, new.theta.values)
+        conv = u1.u * phi.grad_chi[0] + u1.v * phi.grad_chi[1]
+        t2 += dt * psi1 * integrate_values(grid, new.rho.values * H_new * conv)
+        Kh_new = oracle_K_h(l, law.kappa_lo, new.theta.values)
+        t3 += dt * psi1 * integrate_values(grid, Kh_new * phi.lap_chi)
+        hv_new = (1.0 + new.theta.values) ** (-l)
+        t4 -= dt * psi1 * integrate_values(
+            grid, traj.delta * new.theta.values ** 3 * hv_new * phi.chi)
+        diss = dissipation_field(old.viscosity(traj.laws), u1).values
+        r1 += dt * psi1 * integrate_values(
+            grid, (traj.delta - 1.0) * diss * hv_new * phi.chi)
+        tgx, tgy = grad_values(grid, new.theta.values)
+        kap = np.asarray(eval_conductivity(law, new.theta.values))
+        dh_new = -l * (1.0 + new.theta.values) ** (-l - 1.0)
+        r2 += dt * psi1 * integrate_values(
+            grid, dh_new * kap * (tgx ** 2 + tgy ** 2) * phi.chi)
+        H_old = H_new
+    r3 = -integrate_values(grid, (traj.delta + init.rho.values) * H0
+                           * phi.psi(init.t) * phi.chi)
+    terms = {"time": t1, "advection": t2, "diffusion": t3, "sink": t4,
+             "source": r1, "gradient": r2, "initial": r3}
+    scale = max(abs(v) for v in terms.values())
+    residual = t1 + t2 + t3 + t4 - (r1 + r2 + r3)
+    return {"residual": residual, "scale": scale, "tol": 1e-6 * scale,
+            "passes": bool(residual <= 1e-6 * scale), "terms": terms}
+
+
+@pytest.mark.parametrize("l", [1.0, 0.5, 0.25])
+def test_renorm_report_matches_the_per_step_oracle(moving_run, l):
+    config, traj = moving_run
+    T = traj.final.t
+    h = RenormFunction.power(l)
+    # the three test functions of acceptance criterion 7
+    for phi in (SeparableTestFunction(traj.grid, T),
+                SeparableTestFunction(traj.grid, T, time_power=2.0, amp=0.5),
+                SeparableTestFunction(traj.grid, T, amp=0.3, kx=2, ky=1)):
+        rep = renorm_report(traj, h, phi, config.delta, traj.laws)
+        ref = oracle_renorm_report(traj, h, phi)
+        bound = 1e-14 * ref["scale"]
+        assert rep["terms"].keys() == ref["terms"].keys()
+        for name, value in ref["terms"].items():
+            assert abs(rep["terms"][name] - value) <= bound, name
+        assert abs(rep["residual"] - ref["residual"]) <= bound
+        assert rep["passes"] == ref["passes"]
+
+
+def test_renorm_rejects_a_pair_without_closed_form_K_h(small_run):
+    # truncated-log h has a closed-form H but no K_h, and no h has a
+    # closed-form K_h with a tabulated law
+    config, traj = small_run
+    phi = SeparableTestFunction(traj.grid, traj.final.t)
+    with pytest.raises(CapabilityError):
+        renorm_report(traj, RenormFunction.truncated_log(0.5, 50.0), phi,
+                      config.delta, traj.laws)
+    tabulated = ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0, form="tabulated",
+                                theta_samples=(0.0, 100.0),
+                                kappa_samples=(1.0, 10001.0))
+    laws = Laws(viscosity=traj.laws.viscosity, conductivity=tabulated)
+    other = replace(traj, laws=laws)
+    with pytest.raises(CapabilityError):
+        renorm_report(other, RenormFunction.power(1.0), phi, config.delta,
+                      laws)
 
 
 def test_csv_format(small_run):

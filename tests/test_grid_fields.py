@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nsfourier.grid import (Grid, ScalarField, grad_values, integrate_values,
-                            norm_H1, read_snapshot, write_snapshot)
+from nsfourier.grid import (Grid, ScalarField, _d_axis, grad_values,
+                            integrate_values, norm_H1, read_snapshot,
+                            write_snapshot)
 
 
 @pytest.fixture
@@ -130,3 +131,29 @@ def test_snapshot_of_a_bad_field_is_refused(tmp_path, values):
         np.savez(fh, values=values, time=0.0, Lx=1.0, Ly=1.0, name="rho")
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+def moveaxis_d_axis(values, h, axis):
+    """The np.moveaxis form of `_d_axis`, kept as an oracle."""
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("grid", [Grid(nx=5, ny=4),
+                                  Grid(nx=9, ny=6, Lx=2.0, Ly=0.7)])
+def test_d_axis_equals_the_moveaxis_stencil_bitwise(grid):
+    # non-square 5 x 4 and 9 x 6 cell grids, Lx != Ly on the second
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.shape)
+    for axis, h in ((0, grid.hx), (1, grid.hy)):
+        out = _d_axis(values, h, axis)
+        ref = moveaxis_d_axis(values, h, axis)
+        assert out.shape == grid.shape
+        assert np.array_equal(out, ref)
+    gx, gy = grad_values(grid, values)
+    assert np.array_equal(gx, moveaxis_d_axis(values, grid.hx, 0))
+    assert np.array_equal(gy, moveaxis_d_axis(values, grid.hy, 1))
