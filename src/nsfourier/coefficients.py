@@ -1,16 +1,18 @@
 """Constitutive laws and renormalization functions.
 
-Conductivity kappa(theta) with quadratic growth bounds, viscosity
-mu(theta) degenerate at absolute zero with a positive plateau, the
-renormalization family h with its admissibility condition
+Conductivity kappa(theta) = kappa_lo (1 + theta^2), the one law the
+solver uses (it meets the paper's lower growth bound with equality),
+viscosity mu(theta) degenerate at absolute zero with a positive plateau,
+the renormalization family h with its admissibility condition
 h''(z) h(z) >= 2 (h'(z))^2, and the antiderivative transforms
 
     K(t)   = int_0^t kappa(z) dz,
-    H(t)   = int_0^t h(z) dz,
     K_h(t) = int_0^t kappa(z) h(z) dz,
 
-all in closed form; a law or h outside the families that have one
-raises CapabilityError.
+with K^-1 and H(t) = int_0^t h(z) dz, all in closed form.  H and K_h
+exist for the power family only: `eval_renorm` raises CapabilityError
+for any other h, and `check_h_admissible` raises it for an h without
+derivative data.
 """
 
 from __future__ import annotations
@@ -35,86 +37,41 @@ def _require_nonneg(theta, what="theta"):
 
 @dataclass(frozen=True)
 class ConductivityLaw:
-    """Heat conductivity with kappa_lo (1+t^2) <= kappa(t) <= kappa_hi (1+t^2).
+    """Heat conductivity kappa(t) = kappa_lo (1 + t^2).
 
-    The canonical form saturates the lower bound, which keeps K invertible
-    in closed form.  Tabulated laws are piecewise linear in theta.
+    The paper allows any kappa between kappa_lo (1+t^2) and a multiple of
+    it; this law saturates the lower bound, which keeps K invertible in
+    closed form.
     """
 
     kappa_lo: float
-    kappa_hi: float
-    form: str = "canonical"
-    theta_samples: tuple = field(default=(), repr=False)
-    kappa_samples: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if not (0 < self.kappa_lo < math.inf and 0 < self.kappa_hi < math.inf):
-            raise ValueError("conductivity bounds must be positive and finite")
-        if self.kappa_lo > self.kappa_hi:
-            raise ValueError("kappa_lo must not exceed kappa_hi")
-        if self.form not in ("canonical", "tabulated"):
-            raise ValueError(f"unknown conductivity form {self.form!r}")
-        if self.form == "tabulated":
-            ts = np.asarray(self.theta_samples, dtype=float)
-            ks = np.asarray(self.kappa_samples, dtype=float)
-            if ts.size < 2 or ts.size != ks.size:
-                raise ValueError("tabulated law needs matching theta/kappa samples")
-            if ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
-                raise ValueError("theta samples must start at 0 and increase")
-            lo = self.kappa_lo * (1.0 + ts ** 2)
-            hi = self.kappa_hi * (1.0 + ts ** 2)
-            if np.any(ks < lo - 1e-12) or np.any(ks > hi + 1e-12):
-                raise ValueError("tabulated kappa violates the growth bounds")
-
-    def _table(self):
-        return (np.asarray(self.theta_samples, dtype=float),
-                np.asarray(self.kappa_samples, dtype=float))
+        if not 0 < self.kappa_lo < math.inf:
+            raise ValueError("kappa_lo must be positive and finite")
 
 
 def eval_conductivity(law: ConductivityLaw, theta):
     """kappa(theta); vectorized over arrays."""
     arr = _require_nonneg(theta)
-    if law.form == "canonical":
-        out = law.kappa_lo * (1.0 + arr ** 2)
-    else:
-        ts, ks = law._table()
-        if np.any(arr > ts[-1]):
-            raise ValueError("theta outside tabulated range")
-        out = np.interp(arr, ts, ks)
+    out = law.kappa_lo * (1.0 + arr ** 2)
     return out if np.ndim(theta) else float(out)
 
 
 def kirchhoff_K(law: ConductivityLaw, theta):
     """K(theta) = int_0^theta kappa; strictly increasing, K(0) = 0."""
     arr = _require_nonneg(theta)
-    if law.form == "canonical":
-        out = law.kappa_lo * (arr + arr ** 3 / 3.0)
-    else:
-        # piecewise-linear kappa integrates exactly to piecewise quadratic
-        ts, ks = law._table()
-        if np.any(arr > ts[-1]):
-            raise ValueError("theta outside tabulated range")
-        seg = np.concatenate(([0.0], np.cumsum(0.5 * (ks[1:] + ks[:-1]) * np.diff(ts))))
-        idx = np.clip(np.searchsorted(ts, arr, side="right") - 1, 0, ts.size - 2)
-        t0 = ts[idx]
-        k0 = ks[idx]
-        slope = (ks[idx + 1] - ks[idx]) / (ts[idx + 1] - ts[idx])
-        dt = arr - t0
-        out = seg[idx] + k0 * dt + 0.5 * slope * dt ** 2
+    out = law.kappa_lo * (arr + arr ** 3 / 3.0)
     return out if np.ndim(theta) else float(out)
 
 
 def kirchhoff_K_inverse(law: ConductivityLaw, y):
     """theta with K(theta) = y; monotone in y.
 
-    For the canonical law this is the one real root of
-    theta^3 + 3 theta = 3 y / kappa_lo, namely
-    2 sinh(asinh(3 y / (2 kappa_lo)) / 3).  Tabulated laws have no
-    closed-form inverse and raise CapabilityError.
+    The one real root of theta^3 + 3 theta = 3 y / kappa_lo, namely
+    2 sinh(asinh(3 y / (2 kappa_lo)) / 3).
     """
     ys = _require_nonneg(y, "y")
-    if law.form != "canonical":
-        raise CapabilityError(f"no closed-form K inverse for the {law.form} law")
     out = 2.0 * np.sinh(np.arcsinh(1.5 * ys / law.kappa_lo) / 3.0)
     return out if np.ndim(y) else float(out)
 
@@ -151,8 +108,6 @@ class RenormFunction:
     dh: callable | None = field(default=None, repr=False)
     d2h: callable | None = field(default=None, repr=False)
     exponent: float | None = None
-    omega: float | None = None
-    cutoff: float | None = None
 
     @classmethod
     def power(cls, l: float) -> "RenormFunction":
@@ -181,14 +136,12 @@ class RenormFunction:
             h=lambda z: np.where(ind(z), 1.0 / (np.asarray(z, dtype=float) + omega), 0.0),
             dh=lambda z: np.where(ind(z), -1.0 / (np.asarray(z, dtype=float) + omega) ** 2, 0.0),
             d2h=lambda z: np.where(ind(z), 2.0 / (np.asarray(z, dtype=float) + omega) ** 3, 0.0),
-            omega=omega,
-            cutoff=cutoff,
         )
 
     @classmethod
     def from_callables(cls, h, dh=None, d2h=None) -> "RenormFunction":
         """A custom h for `check_h_admissible`; H and K_h, and with them
-        the renormalized inequality, exist only for the built-in families."""
+        the renormalized inequality, exist only for the power family."""
         return cls(form="custom", h=h, dh=dh, d2h=d2h)
 
 
@@ -214,7 +167,7 @@ def _power_integral(j: int, l: float, arr, tjp):
 def _power_values(l: float, arr, kappa_lo: float | None = None) -> RenormValues:
     """The power family h = (1+theta)^(-l), formed from the one power
     p = t^(-l), t = 1 + theta: h = p, h' = -l p/t, H = int_0^theta h, and,
-    given a canonical law's kappa_lo, K_h = kappa_lo (I_3 - 2 I_2 + 2 H)
+    given the conductivity law's kappa_lo, K_h = kappa_lo (I_3 - 2 I_2 + 2 H)
     with I_j = int_0^theta (1+z)^(j-1-l) dz (the substitution t = 1+z
     turns kappa h into kappa_lo (t^2 - 2t + 2) t^(-l))."""
     t = 1.0 + arr
@@ -229,44 +182,13 @@ def _power_values(l: float, arr, kappa_lo: float | None = None) -> RenormValues:
     return RenormValues(h=p, dh=-l * p / t, H=H, K_h=K_h)
 
 
-def _require_closed_form(h: RenormFunction, law: ConductivityLaw) -> None:
-    if law.form != "canonical" or h.form != "power":
-        raise CapabilityError(
-            f"no closed-form K_h for the {h.form} renorm function with the "
-            f"{law.form} law")
-
-
 def eval_renorm(h: RenormFunction, law: ConductivityLaw, theta) -> RenormValues:
-    """h, h', H and K_h on the array theta in one evaluation, the values
-    `eval_H` and `eval_K_h` give; CapabilityError for every pair but the
-    power family with the canonical law."""
+    """h, h', H and K_h on the array theta in one evaluation;
+    CapabilityError for an h outside the power family."""
     arr = _require_nonneg(theta)
-    _require_closed_form(h, law)
+    if h.form != "power":
+        raise CapabilityError(f"no closed-form H or K_h for the {h.form} renorm function")
     return _power_values(h.exponent, arr, law.kappa_lo)
-
-
-def eval_H(h: RenormFunction, theta):
-    """H(theta) = int_0^theta h in closed form; CapabilityError for an h
-    outside the built-in families."""
-    arr = _require_nonneg(theta)
-    if h.form == "power":
-        out = _power_values(h.exponent, arr).H
-    elif h.form == "truncated-log":
-        top = np.minimum(arr, h.cutoff - h.omega)
-        out = np.where(top > 0, np.log((np.maximum(top, 0.0) + h.omega) / h.omega), 0.0)
-    else:
-        raise CapabilityError(f"no closed-form H for the {h.form} renorm function")
-    return out if np.ndim(theta) else float(out)
-
-
-def eval_K_h(h: RenormFunction, law: ConductivityLaw, theta):
-    """K_h(theta) = int_0^theta kappa(z) h(z) dz.
-
-    Closed form for canonical kappa with the power family; every other
-    pair raises CapabilityError.
-    """
-    out = eval_renorm(h, law, theta).K_h
-    return out if np.ndim(theta) else float(out)
 
 
 def check_h_admissible(h: RenormFunction, z_max: float, n_samples: int) -> dict:

@@ -106,7 +106,7 @@ class RunConfig:
     def laws(self) -> Laws:
         return Laws(
             viscosity=ViscosityLaw(slope=self.visc_slope, theta_bar=self.visc_theta_bar),
-            conductivity=ConductivityLaw(kappa_lo=self.kappa_lo, kappa_hi=self.kappa_lo),
+            conductivity=ConductivityLaw(kappa_lo=self.kappa_lo),
         )
 
 

@@ -7,15 +7,15 @@ from scipy import integrate as sint
 
 from nsfourier.coefficients import (ConductivityLaw, RenormFunction,
                                     ViscosityLaw, check_h_admissible,
-                                    eval_conductivity, eval_H, eval_K_h,
-                                    eval_renorm, eval_viscosity, kirchhoff_K,
+                                    eval_conductivity, eval_renorm,
+                                    eval_viscosity, kirchhoff_K,
                                     kirchhoff_K_inverse)
 from nsfourier.errors import CapabilityError
 
 
 @pytest.fixture
 def canonical():
-    return ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0)
+    return ConductivityLaw(kappa_lo=1.0)
 
 
 def test_viscosity_degenerate_at_zero():
@@ -71,40 +71,24 @@ def test_conductivity_quadratic(canonical):
 
 
 def test_conductivity_growth_bounds():
-    law = ConductivityLaw(kappa_lo=1.0, kappa_hi=2.0)
-    val = eval_conductivity(law, 1.0)
-    assert 2.0 <= val <= 4.0
+    law = ConductivityLaw(kappa_lo=2.0)
+    assert eval_conductivity(law, 1.0) == 4.0
 
 
 @given(st.floats(0.0, 100.0))
 def test_conductivity_bounds_random(theta):
-    law = ConductivityLaw(kappa_lo=0.5, kappa_hi=3.0)
-    val = eval_conductivity(law, theta)
-    assert 0.5 * (1 + theta ** 2) - 1e-9 <= val <= 3.0 * (1 + theta ** 2) + 1e-9
+    law = ConductivityLaw(kappa_lo=0.5)
+    assert eval_conductivity(law, theta) == 0.5 * (1.0 + theta * theta)
 
 
-@pytest.mark.parametrize("bounds", [dict(kappa_lo=math.nan, kappa_hi=math.nan),
-                                    dict(kappa_lo=1.0, kappa_hi=math.nan),
-                                    dict(kappa_lo=math.nan, kappa_hi=1.0),
-                                    dict(kappa_lo=1.0, kappa_hi=math.inf),
-                                    dict(kappa_lo=-1.0, kappa_hi=1.0)])
+@pytest.mark.parametrize("bounds", [dict(kappa_lo=math.nan),
+                                    dict(kappa_lo=math.inf),
+                                    dict(kappa_lo=-math.inf),
+                                    dict(kappa_lo=0.0),
+                                    dict(kappa_lo=-1.0)])
 def test_conductivity_law_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="positive and finite"):
         ConductivityLaw(**bounds)
-
-
-def test_tabulated_law_rejects_bound_violation():
-    with pytest.raises(ValueError):
-        ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0, form="tabulated",
-                        theta_samples=(0.0, 1.0, 2.0),
-                        kappa_samples=(1.0, 1.0, 1.0))
-
-
-def test_tabulated_law_evaluates():
-    law = ConductivityLaw(kappa_lo=0.1, kappa_hi=10.0, form="tabulated",
-                          theta_samples=(0.0, 1.0, 2.0),
-                          kappa_samples=(1.0, 2.0, 3.0))
-    assert eval_conductivity(law, 0.5) == pytest.approx(1.5)
 
 
 def test_kirchhoff_zero(canonical):
@@ -131,38 +115,24 @@ def test_kirchhoff_round_trip(canonical, theta):
 
 
 def test_transforms_without_closed_form_raise(canonical):
-    tabulated = ConductivityLaw(kappa_lo=0.1, kappa_hi=10.0, form="tabulated",
-                                theta_samples=(0.0, 1.0, 3.0),
-                                kappa_samples=(1.0, 2.5, 8.0))
     custom = RenormFunction.from_callables(lambda z: 1.0 / (1.0 + np.asarray(z)))
-    with pytest.raises(CapabilityError):
-        kirchhoff_K_inverse(tabulated, 1.0)
-    with pytest.raises(CapabilityError):
-        eval_H(custom, 1.0)
-    with pytest.raises(CapabilityError):
-        eval_K_h(custom, canonical, 1.0)
-    with pytest.raises(CapabilityError):
-        eval_K_h(RenormFunction.power(1.0), tabulated, 1.0)
-    with pytest.raises(CapabilityError):
-        eval_K_h(RenormFunction.truncated_log(0.5, 5.0), canonical, 1.0)
-    for h, law in ((custom, canonical), (RenormFunction.power(1.0), tabulated),
-                   (RenormFunction.truncated_log(0.5, 5.0), canonical)):
+    for h in (custom, RenormFunction.truncated_log(0.5, 5.0)):
         with pytest.raises(CapabilityError):
-            eval_renorm(h, law, np.ones(3))
+            eval_renorm(h, canonical, 1.0)
+        with pytest.raises(CapabilityError):
+            eval_renorm(h, canonical, np.ones(3))
 
 
 @pytest.mark.parametrize("l", [1.0, 0.5, 0.25])
 def test_one_evaluation_gives_h_dh_H_and_K_h(l):
     # the power family's four values come from one power p = (1+theta)^(-l)
-    # and equal what each quantity's own entry point gives, bitwise
-    law = ConductivityLaw(kappa_lo=0.7, kappa_hi=2.0)
+    # and equal what h's own callables give, bitwise
+    law = ConductivityLaw(kappa_lo=0.7)
     h = RenormFunction.power(l)
     theta = np.linspace(0.0, 30.0, 301)
     values = eval_renorm(h, law, theta)
     assert np.array_equal(values.h, h.h(theta))
     assert np.array_equal(values.dh, h.dh(theta))
-    assert np.array_equal(values.H, eval_H(h, theta))
-    assert np.array_equal(values.K_h, eval_K_h(h, law, theta))
     # against the closed forms with their own powers
     t = 1.0 + theta
     assert np.allclose(values.h, t ** (-l), rtol=1e-15, atol=0.0)
@@ -184,16 +154,7 @@ def test_K_h_where_an_exponent_meets_l(canonical):
     theta = 1.5
     ref = sint.quad(lambda z: eval_conductivity(canonical, z) * (1.0 + z) ** -2.0,
                     0.0, theta, epsabs=0, epsrel=1e-13)[0]
-    assert eval_K_h(h, canonical, theta) == pytest.approx(ref, rel=1e-12)
-
-
-def test_kirchhoff_tabulated_matches_quadrature():
-    law = ConductivityLaw(kappa_lo=0.1, kappa_hi=10.0, form="tabulated",
-                          theta_samples=(0.0, 1.0, 3.0),
-                          kappa_samples=(1.0, 2.5, 8.0))
-    for theta in (0.4, 1.7, 3.0):
-        ref, _ = sint.quad(lambda z: eval_conductivity(law, z), 0.0, theta)
-        assert kirchhoff_K(law, theta) == pytest.approx(ref, rel=1e-10)
+    assert eval_renorm(h, canonical, theta).K_h == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [
@@ -213,37 +174,37 @@ def test_renorm_arguments_must_be_finite_and_in_range(make):
         make()
 
 
-def test_H_log_form():
+def test_H_log_form(canonical):
     h = RenormFunction.power(1.0)
-    assert eval_H(h, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert eval_renorm(h, canonical, 1.0).H == pytest.approx(math.log(2.0), rel=1e-14)
 
 
-def test_H_at_zero():
-    for h in (RenormFunction.power(0.7), RenormFunction.truncated_log(0.5, 5.0)):
-        assert eval_H(h, 0.0) == 0.0
+def test_H_at_zero(canonical):
+    assert eval_renorm(RenormFunction.power(0.7), canonical, 0.0).H == 0.0
 
 
-def test_H_sqrt_form():
+def test_H_sqrt_form(canonical):
     h = RenormFunction.power(0.5)
-    assert eval_H(h, 3.0) == pytest.approx(2.0, rel=1e-14)
+    assert eval_renorm(h, canonical, 3.0).H == pytest.approx(2.0, rel=1e-14)
 
 
-def test_H_derivative_matches_h():
+def test_H_derivative_matches_h(canonical):
     h = RenormFunction.power(0.8)
     step = 1e-5
     for theta in (0.3, 1.2, 4.0):
-        fd = (eval_H(h, theta + step) - eval_H(h, theta - step)) / (2 * step)
+        fd = (eval_renorm(h, canonical, theta + step).H
+              - eval_renorm(h, canonical, theta - step).H) / (2 * step)
         assert fd == pytest.approx(float(h.h(theta)), rel=1e-8)
 
 
 def test_K_h_closed_form(canonical):
     h = RenormFunction.power(1.0)
     expected = 0.5 - 1.0 + 2.0 * math.log(2.0)
-    assert eval_K_h(h, canonical, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert eval_renorm(h, canonical, 1.0).K_h == pytest.approx(expected, rel=1e-13)
 
 
 def test_K_h_at_zero(canonical):
-    assert eval_K_h(RenormFunction.power(0.5), canonical, 0.0) == 0.0
+    assert eval_renorm(RenormFunction.power(0.5), canonical, 0.0).K_h == 0.0
 
 
 @pytest.mark.parametrize("l", [1.0, 0.5, 0.3])
@@ -252,15 +213,15 @@ def test_K_h_closed_form_vs_quadrature(canonical, l, theta):
     h = RenormFunction.power(l)
     ref, _ = sint.quad(lambda z: (1.0 + z ** 2) * (1.0 + z) ** (-l),
                        0.0, theta, epsabs=1e-14, epsrel=1e-12)
-    assert eval_K_h(h, canonical, theta) == pytest.approx(ref, rel=1e-10)
+    assert eval_renorm(h, canonical, theta).K_h == pytest.approx(ref, rel=1e-10)
 
 
 def test_K_h_derivative_matches_kappa_h(canonical):
     h = RenormFunction.power(0.5)
     step = 1e-5
     for theta in (0.5, 2.0):
-        fd = (eval_K_h(h, canonical, theta + step)
-              - eval_K_h(h, canonical, theta - step)) / (2 * step)
+        fd = (eval_renorm(h, canonical, theta + step).K_h
+              - eval_renorm(h, canonical, theta - step).K_h) / (2 * step)
         ref = eval_conductivity(canonical, theta) * float(h.h(theta))
         assert fd == pytest.approx(ref, rel=1e-8)
 

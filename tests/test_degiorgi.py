@@ -19,7 +19,7 @@ def make_trajectory(theta_values, rho_value=1.0, n_states=3, delta=1e-2):
     grid = Grid(nx=16, ny=16)
     basis = build_basis(grid, 2)
     laws = Laws(viscosity=ViscosityLaw(slope=1.0, theta_bar=1.0),
-                conductivity=ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0))
+                conductivity=ConductivityLaw(kappa_lo=1.0))
     traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=delta)
     for i in range(n_states):
         theta = (ScalarField.constant(grid, theta_values)

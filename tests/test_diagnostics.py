@@ -5,9 +5,8 @@ import pytest
 
 from nsfourier import diagnostics
 from nsfourier.basis import build_basis
-from nsfourier.coefficients import (ConductivityLaw, RenormFunction,
-                                    ViscosityLaw, eval_conductivity,
-                                    eval_renorm)
+from nsfourier.coefficients import (RenormFunction, ViscosityLaw,
+                                    eval_conductivity, eval_renorm)
 from nsfourier.config import Laws, RunConfig
 from nsfourier.coupler import run_simulation
 from nsfourier.diagnostics import (CSV_COLUMNS, ENERGY_SLACK_FACTOR,
@@ -166,6 +165,8 @@ def test_apriori_monitor_matches_the_velocity_terms_of_the_states(moving_run):
         np.sqrt(np.trapezoid(th_h1_sq, times)), rel=1e-15)
     assert report["theta_L3_spacetime"] == pytest.approx(
         np.trapezoid(th_l3, times) ** (1.0 / 3.0), rel=1e-15)
+    # at l = 1 the power theta^((3-l)/2) is theta: the same number, bitwise
+    assert report["theta_pow_L2H1_l=1"] == report["theta_L2H1"]
 
 
 def test_run_energy_check(small_run):
@@ -370,21 +371,12 @@ def test_renorm_report_matches_the_per_step_oracle(moving_run, l):
 
 
 def test_renorm_rejects_a_pair_without_closed_form_K_h(small_run):
-    # truncated-log h has a closed-form H but no K_h, and no h has a
-    # closed-form K_h with a tabulated law
+    # truncated-log h is admissible but has no closed-form K_h
     config, traj = small_run
     phi = SeparableTestFunction(traj.grid, traj.final.t)
     with pytest.raises(CapabilityError):
         renorm_report(traj, RenormFunction.truncated_log(0.5, 50.0), phi,
                       config.delta, traj.laws)
-    tabulated = ConductivityLaw(kappa_lo=1.0, kappa_hi=1.0, form="tabulated",
-                                theta_samples=(0.0, 100.0),
-                                kappa_samples=(1.0, 10001.0))
-    laws = Laws(viscosity=traj.laws.viscosity, conductivity=tabulated)
-    other = replace(traj, laws=laws)
-    with pytest.raises(CapabilityError):
-        renorm_report(other, RenormFunction.power(1.0), phi, config.delta,
-                      laws)
 
 
 def test_csv_format(small_run):
