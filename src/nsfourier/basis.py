@@ -21,7 +21,8 @@ Each Galerkin integral
 
 is sum-factorized: one GEMM contracts y for every pair (q_i, q_j), a
 second contracts x for every pair (p_i, p_j), and the n x n entries are
-gathered from the (P^2, Q^2) result.  The cost is
+gathered from the (P^2, Q^2) result in one pass through a flat index
+of (p_i, p_j, q_i, q_j), built once per basis.  The cost is
 O(Nx Ny Q^2 + Nx P^2 Q^2) instead of O(n^2 Nx Ny), and no (n, Nx, Ny)
 table is formed.  The dense mode table `eta` is built on first access
 and only for readers outside the solver: `bench/tracer.py:assembly_work`
@@ -90,6 +91,13 @@ class StreamBasis:
     def __post_init__(self):
         # mode j is row p[j] of the x tables and row q[j] of the y tables
         self.p, self.q = np.array(self.wavenumbers).T - 1
+        # entry (i, j) of a contraction sits at (p_i, p_j, q_i, q_j) of
+        # its (P, P, Q, Q) result; `pair_index` is that flat position
+        P, Q = self.X.shape[1], self.Y.shape[1]
+        p, q = self.p, self.q
+        self.pair_index = ((p[:, None] * P + p[None, :]) * Q
+                           + q[:, None]) * Q + q[None, :]
+        self.pair_index.flags.writeable = False
 
     @cached_property
     def grad_gram(self) -> np.ndarray:
@@ -160,12 +168,12 @@ def _contract(basis: StreamBasis, W: np.ndarray, A: np.ndarray, B: np.ndarray,
 
     y is contracted first, (Nx x Ny) (Ny x Q^2), then x, (P^2 x Nx)
     (Nx x Q^2); the n x n entries are gathered from the (P^2, Q^2)
-    result at (p_i, p_j, q_i, q_j)."""
+    result through the basis's flat `pair_index`."""
     P, Q = A.shape[0], B.shape[0]
     T = W @ (B[:, None] * D[None, :]).reshape(Q * Q, -1).T
     R = (A[:, None] * C[None, :]).reshape(P * P, -1) @ T
-    p, q = basis.p, basis.q
-    return R.reshape(P, P, Q, Q)[p[:, None], p[None, :], q[:, None], q[None, :]]
+    # an index gather; `take` would first copy the read-only index
+    return R.ravel()[basis.pair_index]
 
 
 def _mirror_upper(K: np.ndarray) -> np.ndarray:

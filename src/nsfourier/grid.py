@@ -129,7 +129,7 @@ class VectorField:
         return cls(grid, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
 
     def max_speed(self) -> float:
-        return float(np.hypot(self.u, self.v).max())
+        return float(np.sqrt(self.speed_sq().max()))
 
     def speed_sq(self) -> np.ndarray:
         return self.u ** 2 + self.v ** 2

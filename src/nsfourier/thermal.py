@@ -9,9 +9,13 @@ transport, the one that produced rho_new, so a constant theta stays
 constant under transport.  Diffusion is a finite-volume Neumann
 operator with the conductivity lagged at the old temperature, the cubic
 sink is implicit and solved by Newton, the dissipation source explicit.
-A scale-down limiter keeps the advected thermal content from exceeding
-its pre-step integral, so the discrete total energy budget can never
-gain from interpolation error.
+The operator's five-point CSR pattern depends on the grid alone and is
+built once: each step fills a fresh data array from the face
+conductances, and each Newton Jacobian is -S with its diagonal slots
+overwritten, on the same shared, read-only pattern.  A scale-down
+limiter keeps the advected thermal content from exceeding its pre-step
+integral, so the discrete total energy budget can never gain from
+interpolation error.
 
 With the lagged conductivity the Newton Jacobian is
 
@@ -39,7 +43,8 @@ log-uniformly from node to node over 1, 2 and 3 decades, CG took up to
 runs produce stays far from that: about 7 iterations per solve, at most
 31 on the `stressed` benchmark workload.  Every solve is checked to a relative
 residual of 1e-12 on J itself within 2000 iterations; a miss is a
-`StepError`, and the time loop halves dt.  Diffusing K(theta)
+`StepError`, and the time loop halves dt.  A Newton residual that is
+not finite is a `StepError` before CG is called.  Diffusing K(theta)
 implicitly would remove the commutator and leave
 cond(P^-1 J) <= max(d/W) / min(d/W), d = D/kappa.
 """
@@ -47,6 +52,7 @@ cond(P^-1 J) <= max(d/W) / min(d/W), d = D/kappa.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +77,55 @@ def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
     return ScalarField(u.grid, 2.0 * mu_field.values * u.strain_sq())
 
 
+class _Pattern(NamedTuple):
+    """CSR pattern of the five-point stencil on one grid, read-only:
+    `indptr` and `indices`, the data slot of each node's diagonal entry
+    (`diag_slot`), and for every stored entry the position of its value
+    (`source`) in the face values [gx, gy, main] that `neumann_divgrad`
+    forms, each raveled."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag_slot: np.ndarray
+    source: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _five_point_pattern(nx: int, ny: int) -> _Pattern:
+    """The `_Pattern` of the (nx+1)(ny+1) nodes, built once per grid.
+
+    Node (i, j) is row i (ny+1) + j; its columns, ascending, are its
+    neighbours (i-1, j), (i, j-1), itself, (i, j+1) and (i+1, j) where
+    those exist, so no entry couples the ends of two grid rows."""
+    node = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    count = np.full(node.shape, 5, dtype=np.int32)
+    for edge in (count[0], count[-1], count[:, 0], count[:, -1]):
+        edge -= 1
+    indptr = np.zeros(node.size + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    first = indptr[:-1].reshape(node.shape)
+    last = indptr[1:].reshape(node.shape) - 1
+    diag = first + 2
+    diag[0] -= 1
+    diag[:, 0] -= 1
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    source = np.empty(indptr[-1], dtype=np.intp)
+    # the face between nodes a and b stores (a, b) and (b, a); x-face
+    # (i, j) is gx's entry i (ny+1) + j, y-face (i, j) gy's entry i ny + j
+    y_face = nx * (ny + 1) + node[:, :-1] - np.arange(nx + 1)[:, None]
+    for ab, ba, a, b, face in (
+            (last[:-1], first[1:], node[:-1], node[1:], node[:-1]),
+            (diag[:, :-1] + 1, diag[:, 1:] - 1, node[:, :-1], node[:, 1:],
+             y_face)):
+        indices[ab], indices[ba] = b, a
+        source[ab] = source[ba] = face
+    indices[diag] = node
+    source[diag] = nx * (ny + 1) + (nx + 1) * ny + node
+    pattern = _Pattern(indptr, indices, diag.ravel().astype(np.intp), source)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
 def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
     """Integrated zero-flux diffusion operator S with (S t)_n = sum of face
     fluxes of kappa grad t into the control volume of node n.
@@ -78,24 +133,37 @@ def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
     S is symmetric negative semidefinite with S 1 = 0, so quadrature-weighted
     conservation holds to round-off.  div(kappa grad t) ~ S t / W.
     """
-    nyp = grid.shape[1]
+    nx, ny = grid.nx, grid.ny
     wx, wy = grid.axis_weights()
-    # conductance of the x-face between (i, j) and (i+1, j)
-    gx = 0.5 * (kappa[:-1, :] + kappa[1:, :]) * wy[None, :] / grid.hx
-    # conductance of the y-face between (i, j) and (i, j+1); the last
-    # column stays zero, because node (i, ny) has no face to (i+1, 0)
-    gy = np.zeros(grid.shape)
-    gy[:, :-1] = 0.5 * (kappa[:, :-1] + kappa[:, 1:]) * wx[:, None] / grid.hy
+    # gx, gy and main are views of one array, the face values that the
+    # pattern's `source` gathers S's entries from
+    n_x, n_y = nx * (ny + 1), (nx + 1) * ny
+    faces = np.empty(n_x + n_y + (nx + 1) * (ny + 1))
+    gx = faces[:n_x].reshape(nx, ny + 1)
+    gy = faces[n_x:n_x + n_y].reshape(nx + 1, ny)
+    main = faces[n_x + n_y:].reshape(grid.shape)
+    # conductance of the x-face between (i, j) and (i+1, j), formed in
+    # place in the operation order of 0.5 * (kappa_a + kappa_b) * w / h
+    np.add(kappa[:-1, :], kappa[1:, :], out=gx)
+    gx *= 0.5
+    gx *= wy
+    gx /= grid.hx
+    # conductance of the y-face between (i, j) and (i, j+1)
+    np.add(kappa[:, :-1], kappa[:, 1:], out=gy)
+    gy *= 0.5
+    gy *= wx[:, None]
+    gy /= grid.hy
     # each node loses its right, left, upper and lower face conductance in
     # that order: the face-by-face sum's order, so its round-off is kept
-    main = np.zeros(grid.shape)
+    main.fill(0.0)
     main[:-1, :] -= gx
     main[1:, :] -= gx
-    main[:, :-1] -= gy[:, :-1]
-    main[:, 1:] -= gy[:, :-1]
-    gx, gy = gx.ravel(), gy.ravel()[:-1]
-    return sp.diags([gx, gy, main.ravel(), gy, gx], [-nyp, -1, 0, 1, nyp],
-                    format="csr")
+    main[:, :-1] -= gy
+    main[:, 1:] -= gy
+    pattern = _five_point_pattern(nx, ny)
+    # an index gather; `take` would first copy the read-only index
+    return sp.csr_matrix((faces[pattern.source], pattern.indices,
+                          pattern.indptr), shape=(main.size, main.size))
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,9 +205,12 @@ def _newton_solve(grid: Grid, S: sp.csr_matrix, diag: np.ndarray,
                   kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(diag) - S) x = rhs, S = S(kappa), by CG preconditioned
     with `cosine_preconditioner`, to a relative residual of 1e-12 on J."""
-    # S's pattern holds the diagonal, so no pattern merge is needed
-    J = -S
-    J.setdiag(diag - S.diagonal())
+    # J lives on S's pattern: S's entries negated, then the diagonal
+    # slots overwritten, as -S followed by setdiag would leave them
+    pattern = _five_point_pattern(grid.nx, grid.ny)
+    data = -S.data
+    data[pattern.diag_slot] = diag - S.data[pattern.diag_slot]
+    J = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=S.shape)
     sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000,
                         M=cosine_preconditioner(grid, diag, kappa))
     if info != 0:
@@ -169,6 +240,9 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         raise ValueError("theta must be non-negative")
     if rho_new.min() < 0 or rho_old.min() < 0:
         raise ValueError("density fields must be non-negative")
+    if delta + rho_new.min() <= 0:
+        # a = delta + rho_new divides the advected thermal content
+        raise ValueError("delta + rho_new must be positive")
     if diss.min() < 0:
         raise ValueError("dissipation source must be non-negative")
 
@@ -208,6 +282,8 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     for _ in range(NEWTON_MAX):
         F = residual(t)
         f_max = float(np.max(np.abs(F)))
+        if not np.isfinite(f_max):
+            raise StepError("temperature Newton residual is not finite")
         if f_max <= 1e-2 * tol or (f_max <= tol and f_max > 0.5 * f_prev):
             break
         f_prev = f_max
@@ -217,7 +293,8 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
             break
     else:
-        if np.max(np.abs(residual(t))) > tol:
+        # written so that a NaN residual fails the test too
+        if not np.max(np.abs(residual(t))) <= tol:
             raise StepError("temperature Newton iteration did not converge")
 
     t = t.reshape(grid.shape)

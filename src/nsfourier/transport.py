@@ -64,9 +64,14 @@ def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
     j = np.minimum(sy.astype(int), grid.ny - 1)
     tx = sx - i
     ty = sy - j
+    # each corner's weight is tx or 1 - tx times ty or 1 - ty
+    lx, ly = 1 - tx, 1 - ty
     row = grid.ny + 1
-    weight = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty),
-                       (1 - tx) * ty, tx * ty])
+    weight = np.empty((4,) + tx.shape)
+    np.multiply(lx, ly, out=weight[0])
+    np.multiply(tx, ly, out=weight[1])
+    np.multiply(lx, ty, out=weight[2])
+    np.multiply(tx, ty, out=weight[3])
     return Stencil(i * row + j, weight, row)
 
 

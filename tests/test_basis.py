@@ -262,6 +262,18 @@ def test_divergence_free_gradient_identity(basis):
     assert np.array_equal(u.dv_dy, -u.du_dx)
 
 
+@pytest.mark.parametrize("n_modes", [5, 7, 12])
+def test_flat_pair_gather_matches_the_four_index_gather(n_modes):
+    small = build_basis(Grid(nx=24, ny=24), n_modes)
+    P, Q = small.X.shape[1], small.Y.shape[1]
+    assert P != Q
+    R = np.random.default_rng(n_modes).standard_normal((P * P, Q * Q))
+    p, q = small.p, small.q
+    four = R.reshape(P, P, Q, Q)[p[:, None], p[None, :], q[:, None], q[None, :]]
+    assert np.array_equal(R.ravel()[small.pair_index], four)
+    assert not small.pair_index.flags.writeable
+
+
 def test_dense_tables_match_the_mode_loop(oracle_case, anisotropic_case):
     for small, (eta, _), *_ in (oracle_case, anisotropic_case):
         assert np.array_equal(small.eta, eta)

@@ -217,6 +217,38 @@ def test_newton_jacobian_matches_the_merged_pattern_form(n, monkeypatch):
         assert np.array_equal(J.data, merged.data)
 
 
+def test_operators_on_one_grid_share_one_read_only_pattern():
+    grid = Grid(nx=13, ny=7)
+    rng = np.random.default_rng(4)
+    S1 = neumann_divgrad(grid, 1.0 + rng.random(grid.shape))
+    S2 = neumann_divgrad(grid, 1.0 + rng.random(grid.shape))
+    assert not np.shares_memory(S1.data, S2.data)
+    for name in ("indices", "indptr"):
+        a, b = getattr(S1, name), getattr(S2, name)
+        assert np.shares_memory(a, b)
+        for arr in (a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
+def test_strong_flow_run_never_rebuilds_the_stencil_pattern(monkeypatch):
+    from nsfourier.config import RunConfig
+    from nsfourier.coupler import run_simulation
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the five-point pattern is built once per grid")
+
+    monkeypatch.setattr(sp, "diags", forbidden)
+    monkeypatch.setattr(sp.csr_matrix, "setdiag", forbidden)
+    config = RunConfig(nx=24, ny=17, n_modes=6, m0_amplitude=1.0, dt=0.002,
+                       t_final=0.02)
+    thermal._five_point_pattern.cache_clear()
+    traj = run_simulation(config)
+    assert len(traj.states) == 11
+    assert np.all(np.isfinite(traj.final.theta.values))
+    assert thermal._five_point_pattern.cache_info().misses == 1
+
+
 def test_thermal_content_conserved(grid):
     rng = np.random.default_rng(1)
     rho = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
@@ -270,6 +302,40 @@ def test_input_validation(grid):
         step_temperature(ScalarField.constant(grid, 0.1), rho, rho, None,
                          ScalarField.constant(grid, -1.0), 0.1, 0.1,
                          canonical_laws())
+
+
+def test_zero_delta_with_a_vacuum_is_rejected_before_any_work(grid,
+                                                             monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no work before the inputs are checked")
+
+    monkeypatch.setattr(thermal, "neumann_divgrad", forbidden)
+    monkeypatch.setattr(spla, "cg", forbidden)
+    theta = ScalarField.constant(grid, 0.5)
+    rho = ScalarField.constant(grid, 1.0)
+    vacuum = rho.values.copy()
+    vacuum[3, 5] = 0.0
+    with pytest.raises(ValueError, match="delta \\+ rho_new"):
+        step_temperature(theta, ScalarField(grid, vacuum), rho, None,
+                         ScalarField.constant(grid, 0.0), 0.01, 0.0,
+                         canonical_laws())
+
+
+def test_non_finite_newton_residual_is_a_step_error_before_cg(grid,
+                                                               monkeypatch):
+    # theta^3 overflows at theta = 1e103, so the first residual is not
+    # finite; CG would spend its 2000 iterations on NaN
+    def forbidden(*args, **kwargs):
+        raise AssertionError("CG called on a non-finite residual")
+
+    monkeypatch.setattr(spla, "cg", forbidden)
+    theta = ScalarField.constant(grid, 1e103)
+    rho = ScalarField.constant(grid, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepError, match="not finite"):
+            step_temperature(theta, rho, rho, None,
+                             ScalarField.constant(grid, 0.0), 0.01, 0.01,
+                             canonical_laws())
 
 
 def hot_step_inputs():
