@@ -121,7 +121,7 @@ def rung_integrals(traj: Trajectory, ladder: DeGiorgiLadder) -> np.ndarray:
         mu = s.viscosity(traj.laws).values
         tgx, tgy = grad_values(grid, s.theta.values)
         grad_sq = tgx ** 2 + tgy ** 2
-        kap = np.asarray(eval_conductivity(traj.laws.conductivity, s.theta.values))
+        kap = eval_conductivity(traj.laws.conductivity, s.theta.values)
         for k in live:
             C_k = ladder.levels[k]
             mask = shifted <= C_k

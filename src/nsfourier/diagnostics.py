@@ -225,7 +225,7 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         u1 = new.velocity(traj.basis)
         diss = dissipation_field(old.viscosity(traj.laws), u1).values
         tgx, tgy = grad_values(grid, theta)
-        kap = np.asarray(eval_conductivity(law, theta))
+        kap = eval_conductivity(law, theta)
         rho_H = new.rho.values * hv.H
         dt_psi = (new.t - old.t) * psi[m + 1]
         t2 += dt_psi * (weighted(w_chi_x, rho_H * u1.u)

@@ -9,13 +9,12 @@ transport, the one that produced rho_new, so a constant theta stays
 constant under transport.  Diffusion is a finite-volume Neumann
 operator with the conductivity lagged at the old temperature, the cubic
 sink is implicit and solved by Newton, the dissipation source explicit.
-The operator's five-point CSR pattern depends on the grid alone and is
-built once: each step fills a fresh data array from the face
-conductances, and each Newton Jacobian is -S with its diagonal slots
-overwritten, on the same shared, read-only pattern.  A scale-down
-limiter keeps the advected thermal content from exceeding its pre-step
-integral, so the discrete total energy budget can never gain from
-interpolation error.
+S and each Newton Jacobian are applied matrix-free from their face
+conductances and diagonal, each row summed as a sorted CSR row is:
+(i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j), so every product equals
+the sparse matrix's bit for bit.  A scale-down limiter keeps the
+advected thermal content from exceeding its pre-step integral, so the
+discrete total energy budget can never gain from interpolation error.
 
 With the lagged conductivity the Newton Jacobian is
 
@@ -55,7 +54,6 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coefficients import eval_conductivity
@@ -77,93 +75,61 @@ def dissipation_field(mu_field: ScalarField, u: VectorField) -> ScalarField:
     return ScalarField(u.grid, 2.0 * mu_field.values * u.strain_sq())
 
 
-class _Pattern(NamedTuple):
-    """CSR pattern of the five-point stencil on one grid, read-only:
-    `indptr` and `indices`, the data slot of each node's diagonal entry
-    (`diag_slot`), and for every stored entry the position of its value
-    (`source`) in the face values [gx, gy, main] that `neumann_divgrad`
-    forms, each raveled."""
-    indptr: np.ndarray
-    indices: np.ndarray
-    diag_slot: np.ndarray
-    source: np.ndarray
+class FivePoint(NamedTuple):
+    """A symmetric five-point operator on the flat nodes k = i (ny+1) + j:
+    gx[k] couples node k to k + ny + 1, gy[k] couples k to k + 1 and is
+    zero where k ends a grid row, and `main` is the diagonal.  `op @ x`
+    is the matvec on flat or grid x: every term one contiguous product,
+    and the zero terms leave the sums unchanged."""
+    gx: np.ndarray
+    gy: np.ndarray
+    main: np.ndarray
+
+    def __matmul__(self, x):
+        gx, gy, main = self
+        n = main.size - gx.size
+        t = x.ravel()
+        # each row adds its terms in the module docstring's order
+        out = np.empty(t.size)
+        prod = np.empty(t.size)
+        np.multiply(gx, t[:-n], out=out[n:])
+        out[:n] = 0.0
+        out[1:] += np.multiply(gy, t[:-1], out=prod[:-1])
+        out += np.multiply(main, t, out=prod)
+        out[:-1] += np.multiply(gy, t[1:], out=prod[:-1])
+        out[:-n] += np.multiply(gx, t[n:], out=prod[:-n])
+        return out.reshape(x.shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _five_point_pattern(nx: int, ny: int) -> _Pattern:
-    """The `_Pattern` of the (nx+1)(ny+1) nodes, built once per grid.
-
-    Node (i, j) is row i (ny+1) + j; its columns, ascending, are its
-    neighbours (i-1, j), (i, j-1), itself, (i, j+1) and (i+1, j) where
-    those exist, so no entry couples the ends of two grid rows."""
-    node = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
-    count = np.full(node.shape, 5, dtype=np.int32)
-    for edge in (count[0], count[-1], count[:, 0], count[:, -1]):
-        edge -= 1
-    indptr = np.zeros(node.size + 1, dtype=np.int32)
-    np.cumsum(count, out=indptr[1:])
-    first = indptr[:-1].reshape(node.shape)
-    last = indptr[1:].reshape(node.shape) - 1
-    diag = first + 2
-    diag[0] -= 1
-    diag[:, 0] -= 1
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    source = np.empty(indptr[-1], dtype=np.intp)
-    # the face between nodes a and b stores (a, b) and (b, a); x-face
-    # (i, j) is gx's entry i (ny+1) + j, y-face (i, j) gy's entry i ny + j
-    y_face = nx * (ny + 1) + node[:, :-1] - np.arange(nx + 1)[:, None]
-    for ab, ba, a, b, face in (
-            (last[:-1], first[1:], node[:-1], node[1:], node[:-1]),
-            (diag[:, :-1] + 1, diag[:, 1:] - 1, node[:, :-1], node[:, 1:],
-             y_face)):
-        indices[ab], indices[ba] = b, a
-        source[ab] = source[ba] = face
-    indices[diag] = node
-    source[diag] = nx * (ny + 1) + (nx + 1) * ny + node
-    pattern = _Pattern(indptr, indices, diag.ravel().astype(np.intp), source)
-    for arr in pattern:
-        arr.flags.writeable = False
-    return pattern
-
-
-def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> sp.csr_matrix:
+def neumann_divgrad(grid: Grid, kappa: np.ndarray) -> FivePoint:
     """Integrated zero-flux diffusion operator S with (S t)_n = sum of face
     fluxes of kappa grad t into the control volume of node n.
 
     S is symmetric negative semidefinite with S 1 = 0, so quadrature-weighted
     conservation holds to round-off.  div(kappa grad t) ~ S t / W.
     """
-    nx, ny = grid.nx, grid.ny
     wx, wy = grid.axis_weights()
-    # gx, gy and main are views of one array, the face values that the
-    # pattern's `source` gathers S's entries from
-    n_x, n_y = nx * (ny + 1), (nx + 1) * ny
-    faces = np.empty(n_x + n_y + (nx + 1) * (ny + 1))
-    gx = faces[:n_x].reshape(nx, ny + 1)
-    gy = faces[n_x:n_x + n_y].reshape(nx + 1, ny)
-    main = faces[n_x + n_y:].reshape(grid.shape)
     # conductance of the x-face between (i, j) and (i+1, j), formed in
     # place in the operation order of 0.5 * (kappa_a + kappa_b) * w / h
-    np.add(kappa[:-1, :], kappa[1:, :], out=gx)
+    gx = np.add(kappa[:-1, :], kappa[1:, :])
     gx *= 0.5
     gx *= wy
     gx /= grid.hx
-    # conductance of the y-face between (i, j) and (i, j+1)
-    np.add(kappa[:, :-1], kappa[:, 1:], out=gy)
+    # conductance of the y-face between (i, j) and (i, j+1); the column
+    # past j = ny - 1 stays zero
+    gy_rows = np.zeros(grid.shape)
+    gy = np.add(kappa[:, :-1], kappa[:, 1:], out=gy_rows[:, :-1])
     gy *= 0.5
     gy *= wx[:, None]
     gy /= grid.hy
     # each node loses its right, left, upper and lower face conductance in
     # that order: the face-by-face sum's order, so its round-off is kept
-    main.fill(0.0)
+    main = np.zeros(grid.shape)
     main[:-1, :] -= gx
     main[1:, :] -= gx
     main[:, :-1] -= gy
     main[:, 1:] -= gy
-    pattern = _five_point_pattern(nx, ny)
-    # an index gather; `take` would first copy the read-only index
-    return sp.csr_matrix((faces[pattern.source], pattern.indices,
-                          pattern.indptr), shape=(main.size, main.size))
+    return FivePoint(gx.ravel(), gy_rows.ravel()[:-1], main.ravel())
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,17 +167,14 @@ def cosine_preconditioner(grid: Grid, diag: np.ndarray,
                                dtype=float)
 
 
-def _newton_solve(grid: Grid, S: sp.csr_matrix, diag: np.ndarray,
+def _newton_solve(grid: Grid, S: FivePoint, diag: np.ndarray,
                   kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(diag) - S) x = rhs, S = S(kappa), by CG preconditioned
     with `cosine_preconditioner`, to a relative residual of 1e-12 on J."""
-    # J lives on S's pattern: S's entries negated, then the diagonal
-    # slots overwritten, as -S followed by setdiag would leave them
-    pattern = _five_point_pattern(grid.nx, grid.ny)
-    data = -S.data
-    data[pattern.diag_slot] = diag - S.data[pattern.diag_slot]
-    J = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=S.shape)
-    sol, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, maxiter=2000,
+    J = FivePoint(-S.gx, -S.gy, diag - S.main)
+    sol, info = spla.cg(spla.LinearOperator((diag.size, diag.size),
+                                            matvec=J.__matmul__, dtype=float),
+                        rhs, rtol=1e-12, atol=0.0, maxiter=2000,
                         M=cosine_preconditioner(grid, diag, kappa))
     if info != 0:
         raise StepError(f"conjugate gradient failed to converge (info={info})")
@@ -263,7 +226,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     src = ((1.0 - delta) * diss.values).ravel()
     t_adv = theta_adv.ravel()
 
-    kappa_old = np.asarray(eval_conductivity(laws.conductivity, theta.values))
+    kappa_old = eval_conductivity(laws.conductivity, theta.values)
     S = neumann_divgrad(grid, kappa_old)
 
     def residual(t):

@@ -132,14 +132,20 @@ def test_cosine_diffusion_decay_rate(monkeypatch):
     assert abs(measured - expected) <= 5.0 * amp * (dt * rate + h ** 2)
 
 
+def dense(op, n):
+    """The n x n matrix of the operator op, built column by column from
+    op @ e_k."""
+    return np.column_stack([op @ e for e in np.eye(n)])
+
+
 def test_neumann_operator_structure(grid):
     rng = np.random.default_rng(0)
     kappa = 1.0 + rng.random(grid.shape)
     S = neumann_divgrad(grid, kappa)
-    dense = S.toarray()
-    assert np.max(np.abs(dense - dense.T)) == 0.0
-    assert np.max(np.abs(S @ np.ones(dense.shape[0]))) <= 1e-13
-    assert np.max(np.linalg.eigvalsh(dense)) <= 1e-10
+    mat = dense(S, kappa.size)
+    assert np.max(np.abs(mat - mat.T)) == 0.0
+    assert np.max(np.abs(S @ np.ones(mat.shape[0]))) <= 1e-13
+    assert np.max(np.linalg.eigvalsh(mat)) <= 1e-10
 
 
 def coo_divgrad(grid, kappa):
@@ -165,18 +171,39 @@ def coo_divgrad(grid, kappa):
                          shape=(kappa.size, kappa.size))
 
 
+def oracle_jacobian(grid, diag, kappa):
+    """diag(diag) - S(kappa) from the face-by-face reference operator."""
+    return (sp.diags(diag) - coo_divgrad(grid, kappa.reshape(grid.shape))).tocsr()
+
+
 @pytest.mark.parametrize("nx, ny, Lx, Ly, seed", [
     (4, 4, 1.0, 1.0, 0),
     (5, 9, 0.3, 2.7, 1),
     (17, 6, 3.0, 0.7, 2),
     (12, 31, 1.3, 0.45, 3),
 ])
-def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed):
+def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed,
+                                                        monkeypatch):
     grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
-    kappa = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, grid.shape)
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** rng.uniform(-3.0, 3.0, grid.shape)
     S = neumann_divgrad(grid, kappa)
-    assert S.format == "csr"
-    assert np.array_equal(S.toarray(), coo_divgrad(grid, kappa).toarray())
+    oracle = coo_divgrad(grid, kappa)
+    assert np.array_equal(dense(S, kappa.size), oracle.toarray())
+    # the products, bit for bit: S's, and the Jacobian's as CG receives it
+    x = rng.standard_normal(kappa.size)
+    assert np.array_equal(S @ x, oracle @ x)
+    diag = 10.0 ** rng.uniform(-3.0, 3.0, kappa.size)
+    jacobians = []
+
+    def recorded_cg(J, rhs, **kwargs):
+        jacobians.append(J)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(spla, "cg", recorded_cg)
+    thermal._newton_solve(grid, S, diag, kappa.ravel(), x)
+    (J,) = jacobians
+    assert np.array_equal(J @ x, oracle_jacobian(grid, diag, kappa) @ x)
 
 
 @pytest.mark.parametrize("n", [17, 65])
@@ -193,7 +220,7 @@ def test_newton_jacobian_matches_the_merged_pattern_form(n, monkeypatch):
     precondition = thermal.cosine_preconditioner
 
     def recorded_cg(J, *args, **kwargs):
-        jacobians.append(J.copy())
+        jacobians.append(J)
         return cg(J, *args, **kwargs)
 
     def recorded_preconditioner(grid, diag, kappa):
@@ -208,45 +235,27 @@ def test_newton_jacobian_matches_the_merged_pattern_form(n, monkeypatch):
                      canonical_laws())
     assert len(seen) >= 2
     assert len(jacobians) == len(seen)
+    rng = np.random.default_rng(n)
     for J, (diag, kappa) in zip(jacobians, seen):
-        S = neumann_divgrad(grid, kappa.reshape(grid.shape))
-        merged = (sp.diags(diag) - S).tocsr()
-        assert J.format == "csr"
-        assert np.array_equal(J.indptr, merged.indptr)
-        assert np.array_equal(J.indices, merged.indices)
-        assert np.array_equal(J.data, merged.data)
+        merged = oracle_jacobian(grid, diag, kappa)
+        for x in (np.ones(diag.size), rng.standard_normal(diag.size)):
+            assert np.array_equal(J @ x, merged @ x)
 
 
-def test_operators_on_one_grid_share_one_read_only_pattern():
-    grid = Grid(nx=13, ny=7)
-    rng = np.random.default_rng(4)
-    S1 = neumann_divgrad(grid, 1.0 + rng.random(grid.shape))
-    S2 = neumann_divgrad(grid, 1.0 + rng.random(grid.shape))
-    assert not np.shares_memory(S1.data, S2.data)
-    for name in ("indices", "indptr"):
-        a, b = getattr(S1, name), getattr(S2, name)
-        assert np.shares_memory(a, b)
-        for arr in (a, b):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = arr[0]
-
-
-def test_strong_flow_run_never_rebuilds_the_stencil_pattern(monkeypatch):
+def test_strong_flow_run_builds_no_sparse_matrix(monkeypatch):
     from nsfourier.config import RunConfig
     from nsfourier.coupler import run_simulation
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the five-point pattern is built once per grid")
+        raise AssertionError("the thermal operators are applied matrix-free")
 
     monkeypatch.setattr(sp, "diags", forbidden)
-    monkeypatch.setattr(sp.csr_matrix, "setdiag", forbidden)
+    monkeypatch.setattr(sp, "csr_matrix", forbidden)
     config = RunConfig(nx=24, ny=17, n_modes=6, m0_amplitude=1.0, dt=0.002,
                        t_final=0.02)
-    thermal._five_point_pattern.cache_clear()
     traj = run_simulation(config)
     assert len(traj.states) == 11
     assert np.all(np.isfinite(traj.final.theta.values))
-    assert thermal._five_point_pattern.cache_info().misses == 1
 
 
 def test_thermal_content_conserved(grid):
@@ -387,7 +396,13 @@ def test_hot_spot_newton_solves_take_few_pcg_iterations(monkeypatch):
     rho = ScalarField(grid, 1.0 + 0.05 * np.cos(np.pi * X))
     cg_iters = []
     errors = []
+    seen = []
     cg = spla.cg
+    precondition = thermal.cosine_preconditioner
+
+    def recorded_preconditioner(grid, diag, kappa):
+        seen.append((diag.copy(), kappa.copy()))
+        return precondition(grid, diag, kappa)
 
     def counted_cg(J, rhs, **kwargs):
         cg_iters.append(0)
@@ -396,11 +411,13 @@ def test_hot_spot_newton_solves_take_few_pcg_iterations(monkeypatch):
             cg_iters[-1] += 1
 
         upd, info = cg(J, rhs, callback=count, **kwargs)
-        ref = spla.spsolve(J.tocsc(), rhs)
+        ref = spla.spsolve(oracle_jacobian(grid, *seen[-1]).tocsc(), rhs)
         errors.append(np.max(np.abs(upd - ref)) / np.max(np.abs(ref)))
         return upd, info
 
     monkeypatch.setattr(spla, "cg", counted_cg)
+    monkeypatch.setattr(thermal, "cosine_preconditioner",
+                        recorded_preconditioner)
     step_temperature(theta, rho, rho, None,
                      ScalarField.constant(grid, 0.0), 0.002, 0.01,
                      canonical_laws())
@@ -423,7 +440,7 @@ def test_cosine_preconditioner_inverts_a_constant_kappa_jacobian(
     W = grid.quad_weights().ravel()
     kappa = np.full(W.size, 10.0 ** kappa_decade)
     D = 10.0 ** (kappa_decade + d_decade) * W
-    J = (sp.diags(D) - neumann_divgrad(grid, kappa.reshape(grid.shape))).tocsr()
+    J = oracle_jacobian(grid, D, kappa)
     M = cosine_preconditioner(grid, D, kappa)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(W.size)
