@@ -64,11 +64,24 @@ class Step:
     """One converged time step: the new state, its velocity, the
     dissipation field 2 mu(theta_old)|D(u_new)|^2 the temperature step
     was fed (None for the initial state), and the relative coefficient
-    change of each Picard sweep."""
+    change of each Picard sweep.
+
+    `fixed_point_step` returns the velocity with its analytic gradients
+    and the dissipation field, which only the state's diagnostics record
+    reads.  Once that record is made, the run carries the step on as
+    `carried()`: u and v alone, and no dissipation field, which is all
+    the next step reads.  The carried step must outlive the whole next
+    step, because a failed step is retried, with dt halved, from it."""
     state: FluidState
     u_new: VectorField
     diss: ScalarField | None
     sweeps: tuple[float, ...]
+
+    def carried(self) -> "Step":
+        """This step as the next one reads it: the velocity without its
+        gradients, and no dissipation field."""
+        u = self.u_new
+        return replace(self, u_new=VectorField(u.grid, u.u, u.v), diss=None)
 
 
 def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
@@ -101,9 +114,12 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
         raise StepError(
             f"fixed-point iteration did not converge in {config.picard_max} "
             f"sweeps (last change {sweeps[-1]:.3g})")
+    # the last sweep's velocity is read no more
+    del u_k
 
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
+    del mu_old
     # (delta + rho) theta moves through the stencil that carried rho_new
     theta_new = step_temperature(state.theta, rho_new, state.rho, stencil,
                                  diss, dt, config.delta, laws)
@@ -164,6 +180,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
                 sweeps=())
     traj.append(state)
     traj.records.append(_record(traj, None, step.u_new, None))
+    step = step.carried()
 
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
     e0 = traj.records[0].kinetic_energy + traj.records[0].thermal_energy
@@ -189,8 +206,9 @@ def run_simulation(config: RunConfig) -> Trajectory:
                     f"energy inequality violated at t = {state.t!r} "
                     f"(slack {traj.records[-1].energy_slack!r})",
                     partial_trajectory=traj)
-        # free the other substeps' fields before the next step; the last
-        # one's velocity is the next step's u_old
+        # the next step reads the last substep's state and velocity only,
+        # so every other field of the substeps is freed here
+        step = step.carried()
         del steps
     return traj
 
@@ -246,17 +264,22 @@ def continuation_sweep(base_config: RunConfig, schedule) -> dict:
     successive Cauchy differences; a failed run truncates the report."""
     if not schedule:
         raise ValueError("schedule must be non-empty")
-    runs = []
+    # each run's monitor and its difference from the run before are taken
+    # as it completes, so a run starts with only the previous trajectory
+    # alive
+    differences, monitors = [], []
+    prev = None
     error = None
     for entry in schedule:
         try:
-            runs.append(run_simulation(schedule_config(base_config, *entry)))
+            traj = run_simulation(schedule_config(base_config, *entry))
         except SolverError as exc:
             error = str(exc)
             break
-
-    differences = [_field_l2_difference(a, b) for a, b in zip(runs, runs[1:])]
-    monitors = [apriori_monitor(traj) for traj in runs]
+        monitors.append(apriori_monitor(traj))
+        if prev is not None:
+            differences.append(_field_l2_difference(prev, traj))
+        prev = traj
     bands = {}
     if monitors:
         for key in monitors[0]:
@@ -271,7 +294,7 @@ def continuation_sweep(base_config: RunConfig, schedule) -> dict:
             for i in range(len(differences) - 1)),
     }
     return {
-        "completed": len(runs),
+        "completed": len(monitors),
         "differences": differences,
         "band_ratios": bands,
         "flags": flags,

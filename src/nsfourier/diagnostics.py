@@ -146,7 +146,13 @@ def check_energy_inequality(traj: Trajectory, delta: float, eps: float) -> dict:
 
 
 class SeparableTestFunction:
-    """phi(t, x) = psi(t) chi(x) with psi(T) = 0, phi >= 0 and flat walls."""
+    """phi(t, x) = psi(t) chi(x) with psi(T) = 0, phi >= 0 and flat walls.
+
+    chi = 1 + amp cos(kx pi x/Lx) cos(ky pi y/Ly) and its derivatives are
+    products of 1-D profiles along x and y.  Only the profiles are kept;
+    chi, grad chi and lap chi are formed on the grid each time they are
+    read, and `renorm_report` reads each once per call, so a test
+    function holds no field between reports."""
 
     def __init__(self, grid, T, time_power=1, amp=0.5, kx=1, ky=1):
         if not (0 <= amp < 1):
@@ -157,16 +163,28 @@ class SeparableTestFunction:
         self.amp = amp
         self.kx = kx
         self.ky = ky
-        X, Y = grid.nodes()
-        cx = np.cos(kx * np.pi * X / grid.Lx)
-        cy = np.cos(ky * np.pi * Y / grid.Ly)
-        self.chi = 1.0 + amp * cx * cy
-        self.grad_chi = (
-            -amp * (kx * np.pi / grid.Lx) * np.sin(kx * np.pi * X / grid.Lx) * cy,
-            -amp * (ky * np.pi / grid.Ly) * cx * np.sin(ky * np.pi * Y / grid.Ly),
-        )
-        self.lap_chi = -amp * ((kx * np.pi / grid.Lx) ** 2
-                               + (ky * np.pi / grid.Ly) ** 2) * cx * cy
+        # x profiles as columns and y profiles as rows, so each product
+        # broadcasts to the nodal grid
+        ax = kx * np.pi * grid.x / grid.Lx
+        ay = ky * np.pi * grid.y / grid.Ly
+        self._cx, self._sx = np.cos(ax)[:, None], np.sin(ax)[:, None]
+        self._cy, self._sy = np.cos(ay)[None, :], np.sin(ay)[None, :]
+
+    @property
+    def chi(self) -> np.ndarray:
+        return 1.0 + self.amp * self._cx * self._cy
+
+    @property
+    def grad_chi(self) -> tuple[np.ndarray, np.ndarray]:
+        grid, amp, kx, ky = self.grid, self.amp, self.kx, self.ky
+        return (-amp * (kx * np.pi / grid.Lx) * self._sx * self._cy,
+                -amp * (ky * np.pi / grid.Ly) * self._cx * self._sy)
+
+    @property
+    def lap_chi(self) -> np.ndarray:
+        grid, amp, kx, ky = self.grid, self.amp, self.kx, self.ky
+        return -amp * ((kx * np.pi / grid.Lx) ** 2
+                       + (ky * np.pi / grid.Ly) ** 2) * self._cx * self._cy
 
     def psi(self, t: float) -> float:
         if self.T == 0:
@@ -220,21 +238,28 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         old, new = traj.states[m], traj.states[m + 1]
         theta = new.theta.values
         t1 += (psi[m + 1] - psi[m]) * mass_old
-
+        dt_psi = (new.t - old.t) * psi[m + 1]
         hv = eval_renorm(h, law, theta)
+        # each field is dropped after its last term, so no state's fields
+        # are alive together with the next state's
         u1 = new.velocity(traj.basis)
         diss = dissipation_field(old.viscosity(traj.laws), u1).values
-        tgx, tgy = grad_values(grid, theta)
-        kap = eval_conductivity(law, theta)
+        r1 += dt_psi * (traj.delta - 1.0) * weighted(w_chi, diss * hv.h)
+        del diss
         rho_H = new.rho.values * hv.H
-        dt_psi = (new.t - old.t) * psi[m + 1]
         t2 += dt_psi * (weighted(w_chi_x, rho_H * u1.u)
                        + weighted(w_chi_y, rho_H * u1.v))
+        del u1, rho_H
         t3 += dt_psi * weighted(w_lap_chi, hv.K_h)
         t4 -= dt_psi * traj.delta * weighted(w_chi, theta * theta * theta * hv.h)
-        r1 += dt_psi * (traj.delta - 1.0) * weighted(w_chi, diss * hv.h)
-        r2 += dt_psi * weighted(w_chi, hv.dh * kap * (tgx ** 2 + tgy ** 2))
+        tgx, tgy = grad_values(grid, theta)
+        grad_sq = tgx ** 2 + tgy ** 2
+        del tgx, tgy
+        r2 += dt_psi * weighted(w_chi, hv.dh * eval_conductivity(law, theta)
+                                * grad_sq)
+        del grad_sq
         mass_old = weighted(w_chi, (traj.delta + new.rho.values) * hv.H)
+        del hv
 
     lhs = t1 + t2 + t3 + t4
     rhs = r1 + r2 + r3

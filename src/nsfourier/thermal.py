@@ -159,23 +159,33 @@ def cosine_preconditioner(grid: Grid, diag: np.ndarray,
     scale = (1.0 / np.sqrt(kappa)).reshape(grid.shape)
 
     def apply(r):
-        R = r.reshape(grid.shape) * scale
-        Z = Vx @ ((Vx.T @ R @ Vy) * inv) @ Vy.T
-        return (Z * scale).ravel()
+        # scale * (Vx ((Vx^T (scale * r) Vy) * inv) Vy^T), in two buffers
+        Z = r.reshape(grid.shape) * scale
+        T = Vx.T @ Z
+        np.matmul(T, Vy, out=Z)
+        Z *= inv
+        np.matmul(Vx, Z, out=T)
+        np.matmul(T, Vy.T, out=Z)
+        Z *= scale
+        return Z.ravel()
 
     return spla.LinearOperator((diag.size, diag.size), matvec=apply,
                                dtype=float)
 
 
-def _newton_solve(grid: Grid, S: FivePoint, diag: np.ndarray,
+def _newton_solve(grid: Grid, minus_S: FivePoint, diag: np.ndarray,
                   kappa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(diag) - S) x = rhs, S = S(kappa), by CG preconditioned
-    with `cosine_preconditioner`, to a relative residual of 1e-12 on J."""
-    J = FivePoint(-S.gx, -S.gy, diag - S.main)
-    sol, info = spla.cg(spla.LinearOperator((diag.size, diag.size),
+    with `cosine_preconditioner`, to a relative residual of 1e-12 on J.
+    minus_S is -S, whose off-diagonals J shares; J's diagonal
+    diag + (-S.main) equals diag - S.main bit for bit."""
+    M = cosine_preconditioner(grid, diag, kappa)
+    J = minus_S._replace(main=diag + minus_S.main)
+    # only J's diagonal is read from here on
+    del diag
+    sol, info = spla.cg(spla.LinearOperator((J.main.size, J.main.size),
                                             matvec=J.__matmul__, dtype=float),
-                        rhs, rtol=1e-12, atol=0.0, maxiter=2000,
-                        M=cosine_preconditioner(grid, diag, kappa))
+                        rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=M)
     if info != 0:
         raise StepError(f"conjugate gradient failed to converge (info={info})")
     return sol
@@ -210,16 +220,19 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         raise ValueError("dissipation source must be non-negative")
 
     a_new = delta + rho_new.values
-    w_old = (delta + rho_old.values) * theta.values
+    w_old = np.add(delta, rho_old.values)
+    w_old *= theta.values
     if stencil is None:
-        w_star = w_old
+        theta_adv = w_old
     else:
-        w_star = advect_values(grid, w_old, stencil)
+        theta_adv = advect_values(grid, w_old, stencil)
         total_old = integrate_values(grid, w_old)
-        total_star = integrate_values(grid, w_star)
+        del w_old
+        total_star = integrate_values(grid, theta_adv)
         if total_star > total_old > 0.0:
-            w_star *= total_old / total_star
-    theta_adv = w_star / a_new
+            theta_adv *= total_old / total_star
+    # the advected content (delta + rho) theta becomes theta in place
+    theta_adv /= a_new
 
     wflat = grid.quad_weights().ravel()
     aflat = a_new.ravel()
@@ -227,11 +240,16 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     t_adv = theta_adv.ravel()
 
     kappa_old = eval_conductivity(laws.conductivity, theta.values)
-    S = neumann_divgrad(grid, kappa_old)
+    # -S, negated in place once per step: every Newton Jacobian shares
+    # its off-diagonals, and (-S) t equals -(S t) bit for bit up to the
+    # sign of an exact zero, so adding it gives the residual's values
+    minus_S = neumann_divgrad(grid, kappa_old)
+    for part in minus_S:
+        np.negative(part, out=part)
 
     def residual(t):
         out = wflat * (aflat * (t - t_adv) / dt + delta * t ** 3 - src)
-        out -= S @ t
+        out += minus_S @ t
         return out
 
     t = t_adv.copy()
@@ -250,9 +268,14 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         if f_max <= 1e-2 * tol or (f_max <= tol and f_max > 0.5 * f_prev):
             break
         f_prev = f_max
-        diag = wflat * (aflat / dt + 3.0 * delta * t ** 2)
-        upd = _newton_solve(grid, S, diag, kappa_old, -F)
-        t = t + upd
+        # F is read no more, so its array becomes the right-hand side -F;
+        # the diagonal is passed as a temporary, which `_newton_solve`
+        # drops once J's diagonal is formed
+        upd = _newton_solve(grid, minus_S,
+                            wflat * (aflat / dt + 3.0 * delta * t ** 2),
+                            kappa_old, np.negative(F, out=F))
+        del F
+        t += upd
         if np.max(np.abs(upd)) <= 1e-14 * max(1.0, float(np.max(np.abs(t)))):
             break
     else:

@@ -21,10 +21,6 @@ from .grid import Grid, ScalarField, VectorField, integrate_values
 CFL_CAP = 5.0
 
 
-def _clamp(fx: np.ndarray, fy: np.ndarray, grid: Grid):
-    return np.clip(fx, 0.0, grid.Lx), np.clip(fy, 0.0, grid.Ly)
-
-
 @dataclass(frozen=True)
 class Stencil:
     """Bilinear interpolation at a fixed set of points: for each point the
@@ -58,32 +54,57 @@ class Stencil:
 def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
     """The bilinear `Stencil` at points (fx, fy); points outside the
     domain read off its nearest wall."""
-    sx = np.clip(fx / grid.hx, 0.0, grid.nx)
-    sy = np.clip(fy / grid.hy, 0.0, grid.ny)
-    i = np.minimum(sx.astype(int), grid.nx - 1)
-    j = np.minimum(sy.astype(int), grid.ny - 1)
-    tx = sx - i
-    ty = sy - j
-    # each corner's weight is tx or 1 - tx times ty or 1 - ty
-    lx, ly = 1 - tx, 1 - ty
+    # built in place: besides the stencil's own index and weights, only
+    # the cell coordinates and the row index j are allocated
+    tx = np.divide(fx, grid.hx)
+    ty = np.divide(fy, grid.hy)
+    np.clip(tx, 0.0, grid.nx, out=tx)
+    np.clip(ty, 0.0, grid.ny, out=ty)
+    index = tx.astype(int)
+    j = ty.astype(int)
+    np.minimum(index, grid.nx - 1, out=index)
+    np.minimum(j, grid.ny - 1, out=j)
+    tx -= index
+    ty -= j
     row = grid.ny + 1
+    index *= row
+    index += j
+    del j
+    # each corner's weight is tx or 1 - tx times ty or 1 - ty; 1 - tx and
+    # 1 - ty are held in weight[0] and weight[1] until their last product
     weight = np.empty((4,) + tx.shape)
-    np.multiply(lx, ly, out=weight[0])
-    np.multiply(tx, ly, out=weight[1])
+    lx = np.subtract(1, tx, out=weight[0])
+    ly = np.subtract(1, ty, out=weight[1])
     np.multiply(lx, ty, out=weight[2])
     np.multiply(tx, ty, out=weight[3])
-    return Stencil(i * row + j, weight, row)
+    lx *= ly
+    ly *= tx
+    return Stencil(index, weight, row)
+
+
+def _backtrack(grid: Grid, dx: np.ndarray, dy: np.ndarray):
+    """The nodes moved back by (dx, dy) and clamped to the domain, formed
+    in place of dx and dy."""
+    X, Y = grid.nodes()
+    np.subtract(X, dx, out=dx)
+    np.subtract(Y, dy, out=dy)
+    np.clip(dx, 0.0, grid.Lx, out=dx)
+    np.clip(dy, 0.0, grid.Ly, out=dy)
+    return dx, dy
 
 
 def compute_feet(grid: Grid, u: VectorField, dt: float) -> Stencil:
     """The stencil at the characteristic feet x - dt u, found by a
-    midpoint backtrack; midpoints and feet are clamped to the domain."""
-    X, Y = grid.nodes()
-    mid = bilinear_stencil(grid, *_clamp(X - 0.5 * dt * u.u,
-                                         Y - 0.5 * dt * u.v, grid))
+    midpoint backtrack; midpoints and feet are clamped to the domain.
+    The midpoint stencil is dropped before the feet's is built."""
+    half = 0.5 * dt
+    mid = bilinear_stencil(grid, *_backtrack(grid, half * u.u, half * u.v))
     um = mid.apply(u.u)
     vm = mid.apply(u.v)
-    return bilinear_stencil(grid, *_clamp(X - dt * um, Y - dt * vm, grid))
+    del mid
+    um *= dt
+    vm *= dt
+    return bilinear_stencil(grid, *_backtrack(grid, um, vm))
 
 
 def advect_values(grid: Grid, values: np.ndarray, stencil: Stencil) -> np.ndarray:

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -120,15 +124,33 @@ def test_unconverged_cg_halves_the_step(monkeypatch):
 
     cg = spla.cg
     calls = []
+    prevs = []
 
     def fails_once(*args, **kwargs):
         calls.append(1)
         sol, info = cg(*args, **kwargs)
         return sol, (1 if len(calls) == 1 else info)
 
+    def kept_prev(prev, *args):
+        prevs.append(prev)
+        return fixed_point_step(prev, *args)
+
     monkeypatch.setattr(spla, "cg", fails_once)
-    traj = run_simulation(small_config(t_final=0.01))
-    assert traj.times.tolist() == [0.0, 0.005, 0.01]
+    monkeypatch.setattr(coupler, "fixed_point_step", kept_prev)
+    traj = run_simulation(small_config(t_final=0.02))
+    assert traj.times.tolist() == [0.0, 0.005, 0.01, 0.02]
+    # the first step failed and was retried in halves from the same prev;
+    # the second half read the first half's step as the step returned it
+    assert len(prevs) == 4
+    assert prevs[1] is prevs[0]
+    assert prevs[2].state is traj.states[1]
+    # the time loop carries u and v on, and nothing the record read
+    for prev in (prevs[0], prevs[3]):
+        assert prev.diss is None
+        u = prev.u_new
+        assert all(g is None for g in (u.du_dx, u.du_dy, u.dv_dx, u.dv_dy))
+        assert u.u.shape == u.v.shape == traj.grid.shape
+    assert prevs[3].state is traj.states[2]
 
 
 def count_reconstructions(monkeypatch) -> list:
@@ -172,6 +194,24 @@ def test_energy_check_and_apriori_monitor_build_no_velocity(monkeypatch):
     assert check_energy_inequality(traj, traj.delta, traj.eps)["passes"]
     apriori_monitor(traj)
     assert calls == []
+
+
+def test_run_working_set_stays_within_its_field_budget():
+    # a two-step run on a 64^2 grid, traced after a warm-up run has filled
+    # the per-grid caches: the peak counts the grid, the trajectory's
+    # states and each step's live fields.  It reads about 43 fields of
+    # (nx+1)(ny+1) doubles; holding each step's dead temporaries and the
+    # carried step's gradients and dissipation field raises it to about 62
+    config = small_config(nx=64, ny=64, n_modes=16, t_final=0.02)
+    run_simulation(config)
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = 8 * (config.nx + 1) * (config.ny + 1)
+    assert peak <= 46 * field
 
 
 def test_zero_t_final_gives_initial_state_only():
@@ -263,6 +303,37 @@ def test_sweep_identical_configs_zero_difference():
     assert report["completed"] == 2
     assert report["differences"][0]["u"] == 0.0
     assert report["differences"][0]["theta"] == 0.0
+
+
+def test_sweep_keeps_only_the_previous_trajectory(monkeypatch):
+    # each run's monitor and difference are taken as the run completes,
+    # so a run starts with at most the run before it alive
+    config = small_config(t_final=0.02, m0_amplitude=0.01)
+    schedule = [(6, 1e-3, 1e-2), (6, 5e-4, 1e-2), (6, 2.5e-4, 1e-2)]
+    runs = [run_simulation(coupler.schedule_config(config, *entry))
+            for entry in schedule]
+    expected = [coupler._field_l2_difference(a, b)
+                for a, b in zip(runs, runs[1:])]
+    monitors = [apriori_monitor(traj) for traj in runs]
+    del runs
+    live_at_start = []
+    refs = []
+
+    def counted(run_config):
+        gc.collect()
+        live_at_start.append(sum(ref() is not None for ref in refs))
+        traj = run_simulation(run_config)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(coupler, "run_simulation", counted)
+    report = continuation_sweep(config, schedule)
+    assert live_at_start == [0, 1, 1]
+    assert report["completed"] == 3
+    assert report["differences"] == expected
+    assert report["band_ratios"] == {
+        key: max(m[key] for m in monitors) / min(m[key] for m in monitors)
+        for key in monitors[0]}
 
 
 def test_sweep_empty_schedule_rejected():

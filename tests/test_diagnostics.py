@@ -200,6 +200,31 @@ def test_test_function_preconditions():
     assert np.all(phi.psi(0.0) * phi.chi >= 0.0)
 
 
+@pytest.mark.parametrize("nx, ny, Lx, Ly", [(16, 16, 1.0, 1.0),
+                                            (17, 6, 3.0, 0.7)])
+@pytest.mark.parametrize("amp, kx, ky", [(0.5, 1, 1), (0.3, 2, 1),
+                                         (0.9, 3, 5)])
+def test_test_function_fields_match_the_nodal_formulas(nx, ny, Lx, Ly, amp,
+                                                       kx, ky):
+    # chi and its derivatives come from 1-D profiles; each node's value
+    # must equal the closed forms evaluated on the nodes, bit for bit
+    grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
+    phi = SeparableTestFunction(grid, 1.0, amp=amp, kx=kx, ky=ky)
+    X, Y = grid.nodes()
+    cx = np.cos(kx * np.pi * X / Lx)
+    cy = np.cos(ky * np.pi * Y / Ly)
+    sx = np.sin(kx * np.pi * X / Lx)
+    sy = np.sin(ky * np.pi * Y / Ly)
+    expected = [1.0 + amp * cx * cy,
+                -amp * (kx * np.pi / Lx) * sx * cy,
+                -amp * (ky * np.pi / Ly) * cx * sy,
+                -amp * ((kx * np.pi / Lx) ** 2 + (ky * np.pi / Ly) ** 2)
+                * cx * cy]
+    for got, want in zip((phi.chi, *phi.grad_chi, phi.lap_chi), expected):
+        assert got.shape == grid.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_renorm_rejects_phi_not_vanishing_at_T(small_run):
     config, traj = small_run
     phi = SeparableTestFunction(traj.grid, 2.0 * traj.final.t)

@@ -201,7 +201,8 @@ def test_neumann_operator_matches_face_by_face_assembly(nx, ny, Lx, Ly, seed,
         return np.zeros_like(rhs), 0
 
     monkeypatch.setattr(spla, "cg", recorded_cg)
-    thermal._newton_solve(grid, S, diag, kappa.ravel(), x)
+    minus_S = thermal.FivePoint(*(-part for part in S))
+    thermal._newton_solve(grid, minus_S, diag, kappa.ravel(), x)
     (J,) = jacobians
     assert np.array_equal(J @ x, oracle_jacobian(grid, diag, kappa) @ x)
 
