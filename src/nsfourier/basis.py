@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,10 +176,19 @@ def _contract(basis: StreamBasis, W: np.ndarray, A: np.ndarray, B: np.ndarray,
     return R.ravel()[basis.pair_index]
 
 
+@lru_cache(maxsize=16)
+def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of an n x n
+    matrix.  Read-only, built once per n."""
+    i, j = np.tril_indices(n, -1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _mirror_upper(K: np.ndarray) -> np.ndarray:
     """K with its strict lower triangle replaced by the upper one, so a
     matrix symmetric up to round-off becomes exactly symmetric."""
-    i, j = np.tril_indices_from(K, -1)
+    i, j = _strict_lower(K.shape[0])
     K[i, j] = K[j, i]
     return K
 

@@ -117,6 +117,11 @@ def test_strong_flow_run_takes_few_pcg_iterations_per_thermal_solve(
     assert len(traj.states) == 11
     assert len(iters) >= 10
     assert max(iters) <= 40
+    # the run's whole thermal work: each Newton system is solved only to
+    # the step's tolerance, and Newton stops at the first residual within
+    # it (30 solves and 317 iterations with every solve to 1e-12 relative)
+    assert len(iters) <= 28
+    assert sum(iters) <= 240
 
 
 def test_unconverged_cg_halves_the_step(monkeypatch):
