@@ -24,7 +24,12 @@ second contracts x for every pair (p_i, p_j), and the n x n entries are
 gathered from the (P^2, Q^2) result in one pass through a flat index
 of (p_i, p_j, q_i, q_j), built once per basis.  The cost is
 O(Nx Ny Q^2 + Nx P^2 Q^2) instead of O(n^2 Nx Ny), and no (n, Nx, Ny)
-table is formed.  The dense mode table `eta` is built on first access
+table is formed.  When C = A and D = B the integrand is symmetric in
+(p_i, p_j) and in (q_i, q_j), so the Gram, square viscous and
+`grad_gram` terms contract only the unordered pairs q_i <= q_j and
+p_i <= p_j, at O(Nx Ny Q^2 / 2 + Nx P^2 Q^2 / 4), about 3/8 of the
+work, and gather the entries through a packed index of the pairs, built
+once per basis, which makes them exactly symmetric.  The dense mode table `eta` is built on first access
 and only for readers outside the solver: `bench/tracer.py:assembly_work`
 reads its shape, and acceptance criterion 2 checks its wall values.
 """
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +102,15 @@ class StreamBasis:
         p, q = self.p, self.q
         self.pair_index = ((p[:, None] * P + p[None, :]) * Q
                            + q[:, None]) * Q + q[None, :]
+        # a symmetric contraction keeps the pairs a <= b of each axis; its
+        # entry (i, j) sits at the positions of the pairs {p_i, p_j} and
+        # {q_i, q_j}, and `packed_index` is that flat position
+        self.x_pairs, x_at = _pairs(P)
+        self.y_pairs, y_at = _pairs(Q)
+        self.packed_index = (x_at[p[:, None], p[None, :]] * self.y_pairs.shape[1]
+                             + y_at[q[:, None], q[None, :]])
         self.pair_index.flags.writeable = False
+        self.packed_index.flags.writeable = False
 
     @cached_property
     def grad_gram(self) -> np.ndarray:
@@ -107,11 +120,10 @@ class StreamBasis:
         X, dX, d2X = self.X
         Y, dY, d2Y = self.Y
         # the four gradient components are X'Y', X Y'', -X''Y and -X'Y'
-        G = _contract(self, w, dX, dY, dX, dY)
+        G = _contract_sym(self, w, dX, dY)
         G *= 2.0
-        G += _contract(self, w, X, d2Y, X, d2Y)
-        G += _contract(self, w, d2X, Y, d2X, Y)
-        G = _mirror_upper(G)
+        G += _contract_sym(self, w, X, d2Y)
+        G += _contract_sym(self, w, d2X, Y)
         G.flags.writeable = False
         return G
 
@@ -122,6 +134,18 @@ class StreamBasis:
         (X, dX), (Y, dY) = self.X_wall[:, self.p], self.Y_wall[:, self.q]
         return np.stack([X[:, :, None] * dY[:, None, :],
                          -dX[:, :, None] * Y[:, None, :]], axis=1)
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a <= b < n as the rows a and b of a (2, n (n+1) / 2)
+    array, in the order of `np.triu_indices(n)`, and the (n, n) table of
+    the position of the pair {a, b} among them."""
+    a, b = pairs = np.array(
+        list(itertools.combinations_with_replacement(range(n), 2))).T
+    position = np.empty((n, n), dtype=int)
+    position[a, b] = position[b, a] = np.arange(a.size)
+    pairs.flags.writeable = False
+    return pairs, position
 
 
 def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
@@ -176,21 +200,18 @@ def _contract(basis: StreamBasis, W: np.ndarray, A: np.ndarray, B: np.ndarray,
     return R.ravel()[basis.pair_index]
 
 
-@lru_cache(maxsize=16)
-def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict lower triangle of an n x n
-    matrix.  Read-only, built once per n."""
-    i, j = np.tril_indices(n, -1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+def _contract_sym(basis: StreamBasis, W: np.ndarray, A: np.ndarray,
+                  B: np.ndarray) -> np.ndarray:
+    """K_ij = sum_xy W A[p_i] A[p_j] B[q_i] B[q_j], `_contract` with C = A
+    and D = B over the unordered pairs only.
 
-
-def _mirror_upper(K: np.ndarray) -> np.ndarray:
-    """K with its strict lower triangle replaced by the upper one, so a
-    matrix symmetric up to round-off becomes exactly symmetric."""
-    i, j = _strict_lower(K.shape[0])
-    K[i, j] = K[j, i]
-    return K
+    y is contracted for the pairs q_i <= q_j, then x for the pairs
+    p_i <= p_j; K_ij and K_ji gather the same entry of the packed result
+    through the basis's `packed_index`, so K is exactly symmetric."""
+    (a, b), (c, d) = basis.x_pairs, basis.y_pairs
+    T = W @ (B[c] * B[d]).T
+    R = (A[a] * A[b]) @ T
+    return R.ravel()[basis.packed_index]
 
 
 def assemble_weighted_gram(basis: StreamBasis, rho: ScalarField) -> np.ndarray:
@@ -199,9 +220,7 @@ def assemble_weighted_gram(basis: StreamBasis, rho: ScalarField) -> np.ndarray:
         raise ValueError("rho must be non-negative for a definite mass matrix")
     w = basis.grid.quad_weights() * rho.values
     (X, dX), (Y, dY) = basis.X_wall, basis.Y_wall
-    M = _contract(basis, w, X, dY, X, dY)
-    M += _contract(basis, w, dX, Y, dX, Y)
-    return _mirror_upper(M)
+    return _contract_sym(basis, w, X, dY) + _contract_sym(basis, w, dX, Y)
 
 
 def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> np.ndarray:
@@ -214,22 +233,21 @@ def assemble_viscous(basis: StreamBasis, mu_field: ScalarField, eps: float) -> n
         sym(grad eta_i) : sym(grad eta_j) = 8 a_i a_j + 2 s_i s_j.
 
     The s s term is two squares and a cross term K with its transpose, so
-    A takes four contractions.  The eps term depends on the basis alone
-    and is cached there (`grad_gram`).
+    A takes three symmetric contractions and one general one; K + K^T is
+    exactly symmetric, and so is A.  The eps term depends on the basis
+    alone and is cached there (`grad_gram`).
     """
     if np.any(mu_field.values < 0) or eps < 0:
         raise ValueError("viscosity field and eps must be non-negative")
     w = basis.grid.quad_weights() * mu_field.values
     X, dX, d2X = basis.X
     Y, dY, d2Y = basis.Y
-    A = _contract(basis, w, dX, dY, dX, dY)
+    A = _contract_sym(basis, w, dX, dY)
     A *= 4.0
-    A += _contract(basis, w, X, d2Y, X, d2Y)
-    A += _contract(basis, w, d2X, Y, d2X, Y)
+    A += _contract_sym(basis, w, X, d2Y)
+    A += _contract_sym(basis, w, d2X, Y)
     K = _contract(basis, w, X, d2Y, d2X, Y)
-    A -= K
-    A -= K.T
-    A = _mirror_upper(A)
+    A -= K + K.T
     if eps > 0:
         A += eps * basis.grad_gram
     return A

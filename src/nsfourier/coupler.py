@@ -9,10 +9,13 @@ characteristic feet; the last sweep's stencil, which carried rho_new,
 also carries the temperature step's (delta+rho) theta, so one velocity
 moves both.  Only the new-density mass matrix changes between sweeps,
 so the rest of the momentum system, and mu(theta_old) with it, is built
-once per step.  The temperature step closes the step once, after
-convergence, because the momentum step sees only the previous step's
-temperature through the lagged viscosity; re-running it inside the loop
-would change nothing.  On step failure the time loop halves dt and
+once per step, and each sweep assembles one mass matrix.  The last
+sweep's is the mass matrix of the step's new density, so it rides on
+the step as the next step's old-density mass; a run assembles one mass
+matrix per sweep plus the initial state's.  The temperature step closes
+the step once, after convergence, because the momentum step sees only
+the previous step's temperature through the lagged viscosity; re-running
+it inside the loop would change nothing.  On step failure the time loop halves dt and
 retries, up to five halvings.
 """
 
@@ -22,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import StreamBasis, build_basis, reconstruct_velocity
+from .basis import (StreamBasis, assemble_weighted_gram, build_basis,
+                    reconstruct_velocity)
 from .config import RunConfig
 from .diagnostics import (ENERGY_SLACK_FACTOR, DiagnosticsRecord,
                           apriori_monitor, energy_report, energy_slack,
@@ -61,25 +65,28 @@ def initial_state(config: RunConfig, grid: Grid, basis: StreamBasis) -> FluidSta
 
 @dataclass(frozen=True)
 class Step:
-    """One converged time step: the new state, its velocity, the
-    dissipation field 2 mu(theta_old)|D(u_new)|^2 the temperature step
-    was fed (None for the initial state), and the relative coefficient
-    change of each Picard sweep.
+    """One converged time step: the new state, its velocity, the Galerkin
+    mass matrix of its density, the dissipation field
+    2 mu(theta_old)|D(u_new)|^2 the temperature step was fed (None for
+    the initial state), and the relative coefficient change of each
+    Picard sweep.
 
     `fixed_point_step` returns the velocity with its analytic gradients
     and the dissipation field, which only the state's diagnostics record
     reads.  Once that record is made, the run carries the step on as
-    `carried()`: u and v alone, and no dissipation field, which is all
-    the next step reads.  The carried step must outlive the whole next
-    step, because a failed step is retried, with dt halved, from it."""
+    `carried()`: u and v alone, the mass matrix, and no dissipation
+    field, which is all the next step reads.  The carried step must
+    outlive the whole next step, because a failed step is retried, with
+    dt halved, from it."""
     state: FluidState
     u_new: VectorField
+    mass: np.ndarray
     diss: ScalarField | None
     sweeps: tuple[float, ...]
 
     def carried(self) -> "Step":
         """This step as the next one reads it: the velocity without its
-        gradients, and no dissipation field."""
+        gradients, the mass matrix, and no dissipation field."""
         u = self.u_new
         return replace(self, u_new=VectorField(u.grid, u.u, u.v), diss=None)
 
@@ -87,7 +94,7 @@ class Step:
 def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
                      dt: float) -> Step:
     """One converged time step of size dt from `prev.state`, whose
-    velocity is `prev.u_new`."""
+    velocity is `prev.u_new` and whose mass matrix is `prev.mass`."""
     state = prev.state
     laws = config.laws()
     mu_old = state.viscosity(laws)
@@ -95,15 +102,15 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
     # coeffs_k is state.coeffs on the first sweep, so its velocity is the
     # transport velocity u_old of the advection matrix
     u_k = prev.u_new
-    system = momentum_system(state.coeffs, state.rho, mu_old, basis, dt,
-                             config.eps, u_k)
+    system = momentum_system(state.coeffs, state.rho, prev.mass, mu_old,
+                             basis, dt, config.eps, u_k)
     coeffs_k = state.coeffs
     sweeps = []
     for sweep in range(config.picard_max):
         if sweep:
             u_k = reconstruct_velocity(basis, coeffs_k)
         rho_new, stencil = advect_density(state.rho, u_k, dt)
-        coeffs_new = step_momentum(system, rho_new)
+        coeffs_new, mass = step_momentum(system, rho_new)
         scale = max(float(np.linalg.norm(coeffs_new)),
                     float(np.linalg.norm(coeffs_k)), 1e-300)
         sweeps.append(float(np.linalg.norm(coeffs_new - coeffs_k)) / scale)
@@ -114,8 +121,8 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
         raise StepError(
             f"fixed-point iteration did not converge in {config.picard_max} "
             f"sweeps (last change {sweeps[-1]:.3g})")
-    # the last sweep's velocity is read no more
-    del u_k
+    # the last sweep's velocity and the momentum system are read no more
+    del u_k, system
 
     u_new = reconstruct_velocity(basis, coeffs_k)
     diss = dissipation_field(mu_old, u_new)
@@ -125,7 +132,8 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
                                  diss, dt, config.delta, laws)
     new = FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
                      t=state.t + dt)
-    return Step(state=new, u_new=u_new, diss=diss, sweeps=tuple(sweeps))
+    return Step(state=new, u_new=u_new, mass=mass, diss=diss,
+                sweeps=tuple(sweeps))
 
 
 def _advance(prev: Step, config: RunConfig, basis: StreamBasis,
@@ -176,7 +184,8 @@ def run_simulation(config: RunConfig) -> Trajectory:
     traj = Trajectory(grid=grid, basis=basis, laws=laws,
                       eps=config.eps, delta=config.delta)
     state = initial_state(config, grid, basis)
-    step = Step(state=state, u_new=state.velocity(basis), diss=None,
+    step = Step(state=state, u_new=state.velocity(basis),
+                mass=assemble_weighted_gram(basis, state.rho), diss=None,
                 sweeps=())
     traj.append(state)
     traj.records.append(_record(traj, None, step.u_new, None))
@@ -206,8 +215,8 @@ def run_simulation(config: RunConfig) -> Trajectory:
                     f"energy inequality violated at t = {state.t!r} "
                     f"(slack {traj.records[-1].energy_slack!r})",
                     partial_trajectory=traj)
-        # the next step reads the last substep's state and velocity only,
-        # so every other field of the substeps is freed here
+        # the next step reads the last substep's state, velocity and mass
+        # matrix only, so every other field of the substeps is freed here
         step = step.carried()
         del steps
     return traj

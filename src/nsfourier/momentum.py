@@ -15,9 +15,11 @@ with no residual density-change term, which is the discrete counterpart
 of the kinetic energy identity of the continuous construction.
 
 Within one time step only M_new depends on the Picard iterate (through
-the advected density).  `momentum_system` therefore assembles M_old, A,
-B, M_old/2 + dt (A + B) and M_old c_old once per step, and each sweep's
-`step_momentum` assembles M_new and does the dense solve.
+the advected density).  `momentum_system` therefore assembles A and B
+and forms M_old/2 + dt (A + B) and M_old c_old once per step, and each
+sweep's `step_momentum` assembles M_new and does the dense solve.  No
+mass matrix is assembled per step: M_old is M(rho_old), the M_new that
+the previous step's last sweep built, and the caller passes it in.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ class MomentumSystem:
 
 
 def momentum_system(coeffs_old: np.ndarray, rho_old: ScalarField,
-                    mu: ScalarField, basis: StreamBasis, dt: float,
-                    eps: float, u_old: VectorField | None = None
+                    M_old: np.ndarray, mu: ScalarField, basis: StreamBasis,
+                    dt: float, eps: float, u_old: VectorField | None = None
                     ) -> MomentumSystem:
     """Assemble the per-step part of the system for viscosity field mu.
 
-    u_old is the velocity of coeffs_old; it is reconstructed when not
-    given."""
+    M_old is the mass matrix of rho_old and is only read.  u_old is the
+    velocity of coeffs_old; it is reconstructed when not given."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if rho_old.min() <= 0:
@@ -65,7 +67,6 @@ def momentum_system(coeffs_old: np.ndarray, rho_old: ScalarField,
     if u_old is None:
         u_old = reconstruct_velocity(basis, coeffs_old)
 
-    M_old = assemble_weighted_gram(basis, rho_old)
     A = assemble_viscous(basis, mu, eps)
     B = assemble_advection_matrix(basis, rho_old, u_old)
     return MomentumSystem(basis=basis, fixed=0.5 * M_old + dt * (A + B),
@@ -73,8 +74,10 @@ def momentum_system(coeffs_old: np.ndarray, rho_old: ScalarField,
                           e_old=kinetic_energy(coeffs_old, M_old))
 
 
-def step_momentum(system: MomentumSystem, rho_new: ScalarField) -> np.ndarray:
-    """Solve the step for the advected density rho_new; returns c_new."""
+def step_momentum(system: MomentumSystem, rho_new: ScalarField
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the step for the advected density rho_new; returns c_new and
+    the mass matrix M_new of rho_new."""
     if rho_new.min() <= 0:
         raise ValueError("density must be bounded away from zero")
     M_new = assemble_weighted_gram(system.basis, rho_new)
@@ -87,4 +90,4 @@ def step_momentum(system: MomentumSystem, rho_new: ScalarField) -> np.ndarray:
     if e_new > system.e_old * (1.0 + ENERGY_TOL) + 1e-300:
         raise SchemeError(
             f"kinetic energy increased: {system.e_old!r} -> {e_new!r}")
-    return coeffs_new
+    return coeffs_new, M_new

@@ -3,10 +3,13 @@
 Characteristics are backtracked with a second-order midpoint rule and the
 advected field is read off by monotone (convex-weight) bilinear
 interpolation, so min/max bounds of the transported field are preserved
-by construction.  Feet leaving the domain clamp to the boundary, which is
-consistent with the no-slip condition there.  Each set of points gets
-one `Stencil`, built once: the midpoints serve both velocity components,
-and the feet serve the density and the step's thermal content.
+by construction.  Midpoints and feet leaving the domain clamp to the
+boundary, which is consistent with the no-slip condition there.  The
+feet get one `Stencil`, built once, which serves the density and the
+step's thermal content; only these transported fields are clamped to
+the hull of their corner values.  The velocity is not transported, so
+its midpoint values are plain bilinear reads that share one cell index
+and one pair of fractions between u and v.
 """
 
 from __future__ import annotations
@@ -48,7 +51,31 @@ class Stencil:
         out = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
         lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
         hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
-        return np.clip(out, lo, hi)
+        return _clamp(out, lo, hi)
+
+
+def _clamp(values: np.ndarray, lo, hi) -> np.ndarray:
+    """np.clip(values, lo, hi, out=values) for lo <= hi, without its
+    Python-level wrapper."""
+    np.maximum(values, lo, out=values)
+    return np.minimum(values, hi, out=values)
+
+
+def _corner_index(grid: Grid, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Flat node index of the corner (i, j) of the cell holding each point
+    at cell coordinates (tx, ty).  The coordinates are clamped to the
+    domain and replaced in place by the fractions within the cell."""
+    _clamp(tx, 0.0, grid.nx)
+    _clamp(ty, 0.0, grid.ny)
+    k = tx.astype(int)
+    j = ty.astype(int)
+    np.minimum(k, grid.nx - 1, out=k)
+    np.minimum(j, grid.ny - 1, out=j)
+    tx -= k
+    ty -= j
+    k *= grid.ny + 1
+    k += j
+    return k
 
 
 def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
@@ -58,18 +85,7 @@ def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
     # the cell coordinates and the row index j are allocated
     tx = np.divide(fx, grid.hx)
     ty = np.divide(fy, grid.hy)
-    np.clip(tx, 0.0, grid.nx, out=tx)
-    np.clip(ty, 0.0, grid.ny, out=ty)
-    index = tx.astype(int)
-    j = ty.astype(int)
-    np.minimum(index, grid.nx - 1, out=index)
-    np.minimum(j, grid.ny - 1, out=j)
-    tx -= index
-    ty -= j
-    row = grid.ny + 1
-    index *= row
-    index += j
-    del j
+    index = _corner_index(grid, tx, ty)
     # each corner's weight is tx or 1 - tx times ty or 1 - ty; 1 - tx and
     # 1 - ty are held in weight[0] and weight[1] until their last product
     weight = np.empty((4,) + tx.shape)
@@ -79,7 +95,7 @@ def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
     np.multiply(tx, ty, out=weight[3])
     lx *= ly
     ly *= tx
-    return Stencil(index, weight, row)
+    return Stencil(index, weight, grid.ny + 1)
 
 
 def _backtrack(grid: Grid, dx: np.ndarray, dy: np.ndarray):
@@ -88,20 +104,44 @@ def _backtrack(grid: Grid, dx: np.ndarray, dy: np.ndarray):
     X, Y = grid.nodes()
     np.subtract(X, dx, out=dx)
     np.subtract(Y, dy, out=dy)
-    np.clip(dx, 0.0, grid.Lx, out=dx)
-    np.clip(dy, 0.0, grid.Ly, out=dy)
+    _clamp(dx, 0.0, grid.Lx)
+    _clamp(dy, 0.0, grid.Ly)
     return dx, dy
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a + s (b - a), formed in place of a, with b as scratch."""
+    b -= a
+    b *= s
+    a += b
+    return a
+
+
+def _midpoint_velocity(grid: Grid, u: VectorField, dt: float) -> list:
+    """u and v at the midpoints x - (dt/2) u of the characteristics,
+    clamped to the domain.  The midpoints are formed in cell units, node
+    index minus (dt/2) u / h, and each component is read there without a
+    hull clamp: a lerp along x on the cell's two y edges, then one along
+    y, through one corner index and one pair of fractions."""
+    half = 0.5 * dt
+    tx = np.multiply(u.u, half / grid.hx)
+    ty = np.multiply(u.v, half / grid.hy)
+    np.subtract(np.arange(grid.nx + 1)[:, None], tx, out=tx)
+    np.subtract(np.arange(grid.ny + 1)[None, :], ty, out=ty)
+    k = _corner_index(grid, tx, ty)
+    row = grid.ny + 1
+    mid = []
+    for flat in (u.u.ravel(), u.v.ravel()):
+        lower = _lerp(flat.take(k), flat[row:].take(k), tx)
+        upper = _lerp(flat[1:].take(k), flat[row + 1:].take(k), tx)
+        mid.append(_lerp(lower, upper, ty))
+    return mid
 
 
 def compute_feet(grid: Grid, u: VectorField, dt: float) -> Stencil:
     """The stencil at the characteristic feet x - dt u, found by a
-    midpoint backtrack; midpoints and feet are clamped to the domain.
-    The midpoint stencil is dropped before the feet's is built."""
-    half = 0.5 * dt
-    mid = bilinear_stencil(grid, *_backtrack(grid, half * u.u, half * u.v))
-    um = mid.apply(u.u)
-    vm = mid.apply(u.v)
-    del mid
+    midpoint backtrack; midpoints and feet are clamped to the domain."""
+    um, vm = _midpoint_velocity(grid, u, dt)
     um *= dt
     vm *= dt
     return bilinear_stencil(grid, *_backtrack(grid, um, vm))

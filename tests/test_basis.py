@@ -274,6 +274,24 @@ def test_flat_pair_gather_matches_the_four_index_gather(n_modes):
     assert not small.pair_index.flags.writeable
 
 
+@pytest.mark.parametrize("n_modes", [5, 7, 12])
+def test_packed_pair_gather_matches_the_four_index_gather(n_modes):
+    # a symmetric contraction's (P, P, Q, Q) result is symmetric in its
+    # x pair and in its y pair; it keeps the pairs a <= b of each axis
+    small = build_basis(Grid(nx=24, ny=24), n_modes)
+    P, Q = small.X.shape[1], small.Y.shape[1]
+    R = np.random.default_rng(n_modes).standard_normal((P, P, Q, Q))
+    R += R.transpose(1, 0, 2, 3)
+    R += R.transpose(0, 1, 3, 2)
+    (a, b), (c, d) = small.x_pairs, small.y_pairs
+    packed = R[a, b][:, c, d]
+    p, q = small.p, small.q
+    four = R[p[:, None], p[None, :], q[:, None], q[None, :]]
+    assert np.array_equal(packed.ravel()[small.packed_index], four)
+    for index in (small.packed_index, a, b, c, d):
+        assert not index.flags.writeable
+
+
 def test_dense_tables_match_the_mode_loop(oracle_case, anisotropic_case):
     for small, (eta, _), *_ in (oracle_case, anisotropic_case):
         assert np.array_equal(small.eta, eta)

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import nsfourier.coupler as coupler
 import nsfourier.momentum as momentum
 import nsfourier.state as state_module
-from nsfourier.basis import build_basis
+from nsfourier.basis import assemble_weighted_gram, build_basis
 from nsfourier.config import RunConfig
 from nsfourier.coupler import (Step, build_grid, continuation_sweep,
                                fixed_point_step, initial_state,
@@ -18,6 +18,7 @@ from nsfourier.diagnostics import (apriori_monitor, check_energy_inequality,
                                    diagnostics_csv_text)
 from nsfourier.errors import RunError
 from nsfourier.grid import ScalarField
+from nsfourier.momentum import momentum_system
 
 
 def small_config(**overrides):
@@ -31,8 +32,9 @@ def initial_step(config):
     grid = build_grid(config)
     basis = build_basis(grid, config.n_modes)
     state = initial_state(config, grid, basis)
-    return basis, Step(state=state, u_new=state.velocity(basis), diss=None,
-                       sweeps=())
+    return basis, Step(state=state, u_new=state.velocity(basis),
+                       mass=assemble_weighted_gram(basis, state.rho),
+                       diss=None, sweeps=())
 
 
 def test_equilibrium_is_fixed_point():
@@ -89,8 +91,32 @@ def test_momentum_invariants_assembled_once_per_step(monkeypatch):
         monkeypatch.setattr(momentum, name, counted)
     sweeps = len(fixed_point_step(prev, config, basis, config.dt).sweeps)
     assert sweeps >= 2
-    assert calls == {"assemble_weighted_gram": sweeps + 1,
+    # the old density's mass matrix rides on prev; each sweep assembles
+    # the new density's
+    assert calls == {"assemble_weighted_gram": sweeps,
                      "assemble_viscous": 1, "assemble_advection_matrix": 1}
+
+
+def test_run_assembles_one_mass_matrix_per_sweep_and_the_initial_one(
+        monkeypatch):
+    steps = []
+
+    def kept_step(*args, **kwargs):
+        steps.append(fixed_point_step(*args, **kwargs))
+        return steps[-1]
+
+    calls = []
+    for module in (coupler, momentum):
+        def counted(*args, _fn=module.assemble_weighted_gram):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(module, "assemble_weighted_gram", counted)
+    monkeypatch.setattr(coupler, "fixed_point_step", kept_step)
+    traj = run_simulation(small_config(dt=0.005, m0_amplitude=0.05))
+    assert len(steps) == len(traj.states) - 1 == 10
+    sweeps = sum(len(s.sweeps) for s in steps)
+    assert sweeps > len(steps)
+    assert len(calls) == sweeps + 1
 
 
 def test_strong_flow_run_takes_few_pcg_iterations_per_thermal_solve(
@@ -156,6 +182,43 @@ def test_unconverged_cg_halves_the_step(monkeypatch):
         assert all(g is None for g in (u.du_dx, u.du_dy, u.dv_dx, u.dv_dy))
         assert u.u.shape == u.v.shape == traj.grid.shape
     assert prevs[3].state is traj.states[2]
+
+
+def test_halved_steps_start_from_the_carried_mass_matrix(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    cg = spla.cg
+    calls = []
+    prevs = []
+    masses = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        sol, info = cg(*args, **kwargs)
+        return sol, (1 if len(calls) == 1 else info)
+
+    def kept_prev(prev, *args):
+        prevs.append(prev)
+        return fixed_point_step(prev, *args)
+
+    def kept_mass(coeffs_old, rho_old, M_old, *args):
+        masses.append(M_old)
+        return momentum_system(coeffs_old, rho_old, M_old, *args)
+
+    monkeypatch.setattr(spla, "cg", fails_once)
+    monkeypatch.setattr(coupler, "fixed_point_step", kept_prev)
+    monkeypatch.setattr(coupler, "momentum_system", kept_mass)
+    traj = run_simulation(small_config(t_final=0.02))
+    assert traj.times.tolist() == [0.0, 0.005, 0.01, 0.02]
+    # the failed step and its first half both start from the initial
+    # step's mass; every step reads the mass its prev carries, bitwise a
+    # fresh assembly of that state's density
+    assert len(prevs) == len(masses) == 4
+    assert masses[1] is masses[0] is prevs[0].mass
+    for prev, mass in zip(prevs, masses):
+        assert mass is prev.mass
+        assert np.array_equal(
+            mass, assemble_weighted_gram(traj.basis, prev.state.rho))
 
 
 def count_reconstructions(monkeypatch) -> list:

@@ -11,8 +11,10 @@ from nsfourier.momentum import kinetic_energy, momentum_system, step_momentum
 def one_step(coeffs_old, rho_old, rho_new, theta, basis, dt, eps, law):
     """One momentum step with the viscosity field of theta."""
     mu = ScalarField(theta.grid, np.asarray(eval_viscosity(law, theta.values)))
-    system = momentum_system(coeffs_old, rho_old, mu, basis, dt, eps)
-    return step_momentum(system, rho_new)
+    system = momentum_system(coeffs_old, rho_old,
+                             assemble_weighted_gram(basis, rho_old), mu,
+                             basis, dt, eps)
+    return step_momentum(system, rho_new)[0]
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@ import pytest
 
 from nsfourier.errors import StepError
 from nsfourier.grid import Grid, ScalarField, VectorField
-from nsfourier.transport import (advect_density, advect_values,
-                                 bilinear_stencil, compute_feet,
-                                 level_set_measure)
+from nsfourier.transport import (_midpoint_velocity, advect_density,
+                                 advect_values, bilinear_stencil,
+                                 compute_feet, level_set_measure)
 
 
 def blob(grid, cx=0.5, cy=0.5, width=0.1):
@@ -47,13 +47,31 @@ def oracle_bilinear(grid, values, fx, fy):
     return np.clip(out, lo, hi)
 
 
+def oracle_midpoint_velocity(grid, u, dt):
+    """u and v at the midpoints, node index minus (dt/2) u / h clamped to
+    the domain in cell units, read point by point by an unclamped
+    bilinear lerp: along x on the cell's two y edges, then along y."""
+    sx = np.clip(np.arange(grid.nx + 1)[:, None] - u.u * (0.5 * dt / grid.hx),
+                 0.0, grid.nx)
+    sy = np.clip(np.arange(grid.ny + 1)[None, :] - u.v * (0.5 * dt / grid.hy),
+                 0.0, grid.ny)
+    i = np.minimum(sx.astype(int), grid.nx - 1)
+    j = np.minimum(sy.astype(int), grid.ny - 1)
+    tx = sx - i
+    ty = sy - j
+
+    def lerp(f):
+        a = f[i, j] + tx * (f[i + 1, j] - f[i, j])
+        b = f[i, j + 1] + tx * (f[i + 1, j + 1] - f[i, j + 1])
+        return a + ty * (b - a)
+
+    return lerp(u.u), lerp(u.v)
+
+
 def oracle_feet(grid, u, dt):
     """Midpoint-backtracked feet (fx, fy) through the oracle."""
     X, Y = grid.nodes()
-    mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
-    my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
-    um = oracle_bilinear(grid, u.u, mx, my)
-    vm = oracle_bilinear(grid, u.v, mx, my)
+    um, vm = oracle_midpoint_velocity(grid, u, dt)
     return (np.clip(X - dt * um, 0.0, grid.Lx),
             np.clip(Y - dt * vm, 0.0, grid.Ly))
 
@@ -112,8 +130,9 @@ def test_stencil_keeps_the_corner_hull_clamp():
 
 
 def test_feet_stencil_matches_the_oracle_bitwise():
-    # u and v at the midpoints, then rho at the feet: each through one
-    # stencil, bitwise equal to interpolating at the oracle's points
+    # u and v at the midpoints, then rho at the feet through one stencil,
+    # bitwise equal to interpolating at the oracle's points; a stencil at
+    # the midpoints also matches the oracle there
     grid = Grid(nx=24, ny=20, Lx=1.0, Ly=0.8)
     rng = np.random.default_rng(7)
     u = VectorField(grid, rng.standard_normal(grid.shape),
@@ -126,6 +145,9 @@ def test_feet_stencil_matches_the_oracle_bitwise():
         mid = bilinear_stencil(grid, mx, my)
         assert np.array_equal(mid.apply(u.u), oracle_bilinear(grid, u.u, mx, my))
         assert np.array_equal(mid.apply(u.v), oracle_bilinear(grid, u.v, mx, my))
+        for got, want in zip(_midpoint_velocity(grid, u, dt),
+                             oracle_midpoint_velocity(grid, u, dt)):
+            assert np.array_equal(got, want)
         fx, fy = oracle_feet(grid, u, dt)
         expected = oracle_bilinear(grid, rho.values, fx, fy)
         feet = compute_feet(grid, u, dt)
@@ -134,6 +156,28 @@ def test_feet_stencil_matches_the_oracle_bitwise():
         assert np.array_equal(out.values, expected)
         assert np.array_equal(stencil.index, feet.index)
         assert np.array_equal(stencil.weight, feet.weight)
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", [(16, 16, 1.0, 1.0),
+                                            (12, 20, 2.0, 0.7)])
+def test_midpoint_velocity_reproduces_a_bilinear_field(nx, ny, Lx, Ly):
+    # bilinear interpolation is exact on a field bilinear in x and y, so
+    # the midpoint velocity is that field at the clamped midpoints, up to
+    # round-off; dt is large enough that midpoints leave the domain
+    grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
+    X, Y = grid.nodes()
+
+    def field(x, y):
+        return (0.3 - 1.1 * x + 0.7 * y + 2.3 * x * y,
+                -0.4 + 0.9 * x - 1.3 * y + 1.7 * x * y)
+
+    u = VectorField(grid, *field(X, Y))
+    dt = 0.25
+    mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
+    my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
+    assert mx.min() == 0.0 and my.max() == grid.Ly
+    for got, want in zip(_midpoint_velocity(grid, u, dt), field(mx, my)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_advect_values_rejects_a_field_of_another_grid():
