@@ -225,8 +225,10 @@ def run_simulation(config: RunConfig) -> Trajectory:
 def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory) -> dict:
     """Space-time L2 differences of u and theta on common time samples.
 
-    Fields are interpolated linearly in time; basis coefficients of
-    different sizes compare through the reconstructed nodal velocities.
+    Coefficients and theta are interpolated linearly in time, and the
+    velocity is reconstructed once per sample from the interpolated
+    coefficients, which reconstruction is linear in; bases of different
+    sizes compare through the reconstructed nodal velocities.
     """
     grid = traj_a.grid
     if traj_b.grid != grid:
@@ -235,20 +237,17 @@ def _field_l2_difference(traj_a: Trajectory, traj_b: Trajectory) -> dict:
     samples = np.linspace(0.0, T, DIFFERENCE_SAMPLES)
 
     def at(traj, t):
+        # fractional state index, clamped to the run; a single state
+        # reads index 0 with weight 0
         times = traj.times
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), len(times) - 2) if len(times) > 1 else 0
-        if len(times) == 1:
-            s = traj.states[0]
-            u = s.velocity(traj.basis)
-            return u.u, u.v, s.theta.values
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        w = min(max(w, 0.0), 1.0)
-        s0, s1 = traj.states[i], traj.states[i + 1]
-        u0, u1 = s0.velocity(traj.basis), s1.velocity(traj.basis)
-        return ((1 - w) * u0.u + w * u1.u,
-                (1 - w) * u0.v + w * u1.v,
-                (1 - w) * s0.theta.values + w * s1.theta.values)
+        x = float(np.interp(t, times, np.arange(len(times))))
+        i = int(x)
+        w = x - i
+        s0 = traj.states[i]
+        s1 = traj.states[min(i + 1, len(times) - 1)]
+        u = reconstruct_velocity(traj.basis,
+                                 (1 - w) * s0.coeffs + w * s1.coeffs)
+        return u.u, u.v, (1 - w) * s0.theta.values + w * s1.theta.values
 
     du_sq, dth_sq = [], []
     for t in samples:

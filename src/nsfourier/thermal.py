@@ -47,7 +47,13 @@ tolerance NEWTON_TOL times the residual's scale, so each system is
 solved only as far as that stop needs (inexact Newton): CG runs until
 the residual on J has 2-norm at most max(0.1 tol, 1e-12 |rhs|_2), which
 bounds it by 0.1 tol in the max norm too, within 2000 iterations.  A
-miss is a `StepError`, and the time loop halves dt.  A Newton residual
+miss is a `StepError`, and the time loop halves dt.  At that stop t is
+shifted uniformly by -sum(F) / sum(W (a/dt + 3 delta t^2)), one Newton
+step along the constant mode, which is exact to first order because
+S 1 = 0.  The step's thermal energy defect is dt sum(F), and a residual
+within tol can keep one sign at every node (with u = 0 the quadratic
+remainder of the cubic sink does), so without the shift N such
+residuals would add up to the run-time energy guard.  A Newton residual
 that is not finite is a `StepError` before CG is called.  Diffusing K(theta)
 implicitly would remove the commutator and leave
 cond(P^-1 J) <= max(d/W) / min(d/W), d = D/kappa.
@@ -206,8 +212,7 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
 
     `stencil` is the `transport.Stencil` of the characteristic feet
     through which rho_old became rho_new, as `advect_density` returns
-    it, or None when nothing moved.  `laws` must expose `conductivity`, a
-    `ConductivityLaw`.
+    it.  `laws` must expose `conductivity`, a `ConductivityLaw`.
     """
     grid = theta.grid
     if dt <= 0:
@@ -229,15 +234,12 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
     a_new = delta + rho_new.values
     w_old = np.add(delta, rho_old.values)
     w_old *= theta.values
-    if stencil is None:
-        theta_adv = w_old
-    else:
-        theta_adv = advect_values(grid, w_old, stencil)
-        total_old = integrate_values(grid, w_old)
-        del w_old
-        total_star = integrate_values(grid, theta_adv)
-        if total_star > total_old > 0.0:
-            theta_adv *= total_old / total_star
+    theta_adv = advect_values(grid, w_old, stencil)
+    total_old = integrate_values(grid, w_old)
+    del w_old
+    total_star = integrate_values(grid, theta_adv)
+    if total_star > total_old > 0.0:
+        theta_adv *= total_old / total_star
     # the advected content (delta + rho) theta becomes theta in place
     theta_adv /= a_new
 
@@ -272,6 +274,9 @@ def step_temperature(theta: ScalarField, rho_new: ScalarField,
         if not np.isfinite(f_max):
             raise StepError("temperature Newton residual is not finite")
         if f_max <= tol:
+            # the uniform shift of the module docstring: sum(F) -> 0 to
+            # first order, so the energy defect dt sum(F) stays round-off
+            t -= F.sum() / np.sum(wflat * (aflat / dt + 3.0 * delta * t ** 2))
             break
         # F is read no more, so its array becomes the right-hand side -F;
         # the diagonal is passed as a temporary, which `_newton_solve`

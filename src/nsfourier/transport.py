@@ -1,15 +1,17 @@
 """Semi-Lagrangian density transport and the level-set-measure diagnostic.
 
-Characteristics are backtracked with a second-order midpoint rule and the
-advected field is read off by monotone (convex-weight) bilinear
-interpolation, so min/max bounds of the transported field are preserved
-by construction.  Midpoints and feet leaving the domain clamp to the
-boundary, which is consistent with the no-slip condition there.  The
-feet get one `Stencil`, built once, which serves the density and the
-step's thermal content; only these transported fields are clamped to
-the hull of their corner values.  The velocity is not transported, so
-its midpoint values are plain bilinear reads that share one cell index
-and one pair of fractions between u and v.
+Characteristics are backtracked with a second-order midpoint rule.  The
+midpoints and the feet are both formed in cell units, node index minus
+displacement / h, and clamped to the domain, which is consistent with
+the no-slip condition there.  Every read goes through one bilinear
+kernel: a lerp (1 - s) a + s b along x on the cell's two y edges, then
+one along y.  Each lerp is exact at s = 0 and s = 1, so a point on a
+node reads that node's value bit for bit, and a zero velocity moves
+nothing without a path of its own.  The midpoint velocity is read
+unclamped.  The feet get one `Stencil`, built once, which serves the
+density and the step's thermal content; only these transported fields
+are clamped to the hull of their corner values, so min/max bounds are
+preserved exactly.
 """
 
 from __future__ import annotations
@@ -27,31 +29,55 @@ CFL_CAP = 5.0
 @dataclass(frozen=True)
 class Stencil:
     """Bilinear interpolation at a fixed set of points: for each point the
-    flat node index k of its cell's corner (i, j) and the weights of the
-    corners (i, j), (i+1, j), (i, j+1), (i+1, j+1), stacked along the
-    first axis.  Those corners sit at flat indices k, k + row, k + 1 and
+    flat node index k of its cell's corner (i, j) and the point's
+    fractions (tx, ty) within that cell.  The corners (i, j), (i+1, j),
+    (i, j+1) and (i+1, j+1) sit at flat indices k, k + row, k + 1 and
     k + row + 1, with row = ny + 1."""
     index: np.ndarray
-    weight: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
     row: int
+
+    def _corners(self, values: np.ndarray) -> tuple:
+        flat = values.ravel()
+        k, row = self.index, self.row
+        # each corner is a gather at k from the flat values shifted by
+        # its offset, so no offset index array is formed
+        return (flat.take(k), flat[row:].take(k), flat[1:].take(k),
+                flat[row + 1:].take(k))
+
+    def read(self, values: np.ndarray) -> np.ndarray:
+        """Nodal values interpolated at the stencil's points, unclamped."""
+        return _bilinear(*self._corners(values), self.tx, self.ty)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Nodal values interpolated at the stencil's points, clamped to
         the hull of each point's four corner values so min/max bounds
         survive rounding exactly."""
-        flat = values.ravel()
-        k, row = self.index, self.row
-        # each corner is a gather at k from the flat values shifted by
-        # its offset, so no offset index array is formed
-        v00 = flat.take(k)
-        v10 = flat[row:].take(k)
-        v01 = flat[1:].take(k)
-        v11 = flat[row + 1:].take(k)
-        w00, w10, w01, w11 = self.weight
-        out = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
+        v00, v10, v01, v11 = self._corners(values)
         lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
         hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
-        return _clamp(out, lo, hi)
+        return _clamp(_bilinear(v00, v10, v01, v11, self.tx, self.ty), lo, hi)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, s: np.ndarray,
+          r: np.ndarray) -> np.ndarray:
+    """(1 - s) a + s b with r = 1 - s, formed in place of a, with b as
+    scratch."""
+    a *= r
+    b *= s
+    a += b
+    return a
+
+
+def _bilinear(v00, v10, v01, v11, tx, ty) -> np.ndarray:
+    """The bilinear kernel: corner values v00, v10, v01, v11 lerped along
+    x at tx on the cell's two y edges, then along y at ty, in place of
+    the corner values."""
+    rx = np.subtract(1.0, tx)
+    lower = _lerp(v00, v10, tx, rx)
+    upper = _lerp(v01, v11, tx, rx)
+    return _lerp(lower, upper, ty, np.subtract(1.0, ty, out=rx))
 
 
 def _clamp(values: np.ndarray, lo, hi) -> np.ndarray:
@@ -78,73 +104,28 @@ def _corner_index(grid: Grid, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     return k
 
 
-def bilinear_stencil(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> Stencil:
-    """The bilinear `Stencil` at points (fx, fy); points outside the
-    domain read off its nearest wall."""
-    # built in place: besides the stencil's own index and weights, only
-    # the cell coordinates and the row index j are allocated
-    tx = np.divide(fx, grid.hx)
-    ty = np.divide(fy, grid.hy)
-    index = _corner_index(grid, tx, ty)
-    # each corner's weight is tx or 1 - tx times ty or 1 - ty; 1 - tx and
-    # 1 - ty are held in weight[0] and weight[1] until their last product
-    weight = np.empty((4,) + tx.shape)
-    lx = np.subtract(1, tx, out=weight[0])
-    ly = np.subtract(1, ty, out=weight[1])
-    np.multiply(lx, ty, out=weight[2])
-    np.multiply(tx, ty, out=weight[3])
-    lx *= ly
-    ly *= tx
-    return Stencil(index, weight, grid.ny + 1)
+def _stencil(grid: Grid, tx: np.ndarray, ty: np.ndarray) -> Stencil:
+    """The `Stencil` at cell coordinates (tx, ty), clamped to the domain;
+    tx and ty become its fractions in place."""
+    return Stencil(_corner_index(grid, tx, ty), tx, ty, grid.ny + 1)
 
 
-def _backtrack(grid: Grid, dx: np.ndarray, dy: np.ndarray):
-    """The nodes moved back by (dx, dy) and clamped to the domain, formed
-    in place of dx and dy."""
-    X, Y = grid.nodes()
-    np.subtract(X, dx, out=dx)
-    np.subtract(Y, dy, out=dy)
-    _clamp(dx, 0.0, grid.Lx)
-    _clamp(dy, 0.0, grid.Ly)
-    return dx, dy
-
-
-def _lerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a + s (b - a), formed in place of a, with b as scratch."""
-    b -= a
-    b *= s
-    a += b
-    return a
-
-
-def _midpoint_velocity(grid: Grid, u: VectorField, dt: float) -> list:
-    """u and v at the midpoints x - (dt/2) u of the characteristics,
-    clamped to the domain.  The midpoints are formed in cell units, node
-    index minus (dt/2) u / h, and each component is read there without a
-    hull clamp: a lerp along x on the cell's two y edges, then one along
-    y, through one corner index and one pair of fractions."""
-    half = 0.5 * dt
-    tx = np.multiply(u.u, half / grid.hx)
-    ty = np.multiply(u.v, half / grid.hy)
+def _moved_back(grid: Grid, u: np.ndarray, v: np.ndarray,
+                dt: float) -> Stencil:
+    """The `Stencil` at the nodes moved back by dt (u, v): in cell units,
+    node index minus dt u / h."""
+    tx = np.multiply(u, dt / grid.hx)
+    ty = np.multiply(v, dt / grid.hy)
     np.subtract(np.arange(grid.nx + 1)[:, None], tx, out=tx)
     np.subtract(np.arange(grid.ny + 1)[None, :], ty, out=ty)
-    k = _corner_index(grid, tx, ty)
-    row = grid.ny + 1
-    mid = []
-    for flat in (u.u.ravel(), u.v.ravel()):
-        lower = _lerp(flat.take(k), flat[row:].take(k), tx)
-        upper = _lerp(flat[1:].take(k), flat[row + 1:].take(k), tx)
-        mid.append(_lerp(lower, upper, ty))
-    return mid
+    return _stencil(grid, tx, ty)
 
 
 def compute_feet(grid: Grid, u: VectorField, dt: float) -> Stencil:
-    """The stencil at the characteristic feet x - dt u, found by a
+    """The stencil at the characteristic feet x - dt u(x - (dt/2) u), the
     midpoint backtrack; midpoints and feet are clamped to the domain."""
-    um, vm = _midpoint_velocity(grid, u, dt)
-    um *= dt
-    vm *= dt
-    return bilinear_stencil(grid, *_backtrack(grid, um, vm))
+    mid = _moved_back(grid, u.u, u.v, 0.5 * dt)
+    return _moved_back(grid, mid.read(u.u), mid.read(u.v), dt)
 
 
 def advect_values(grid: Grid, values: np.ndarray, stencil: Stencil) -> np.ndarray:
@@ -158,12 +139,11 @@ def advect_values(grid: Grid, values: np.ndarray, stencil: Stencil) -> np.ndarra
 def advect_density(rho: ScalarField, u: VectorField, dt: float):
     """One transport step of the continuity equation along characteristics.
 
-    Returns rho_new and the stencil of the feet it was read off at, or
-    rho's copy and None when u = 0 and nothing moves; the step's other
-    conserved quantities move through the same stencil.  Preserves
-    min/max of rho exactly (discrete maximum principle).  A step whose
-    displacement exceeds CFL_CAP cells raises StepError, so the time
-    loop retries it with a smaller dt."""
+    Returns rho_new and the stencil of the feet it was read off at; the
+    step's other conserved quantities move through the same stencil.
+    Preserves min/max of rho exactly (discrete maximum principle).  A
+    step whose displacement exceeds CFL_CAP cells raises StepError, so
+    the time loop retries it with a smaller dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
@@ -172,8 +152,6 @@ def advect_density(rho: ScalarField, u: VectorField, dt: float):
     if dt * speed > CFL_CAP * h:
         raise StepError(
             f"dt*max|u| = {dt * speed:.3g} exceeds CFL cap {CFL_CAP}*h = {CFL_CAP * h:.3g}")
-    if speed == 0.0:
-        return rho.copy(), None
     stencil = compute_feet(grid, u, dt)
     return ScalarField(grid, advect_values(grid, rho.values, stencil)), stencil
 

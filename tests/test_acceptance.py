@@ -26,7 +26,8 @@ from nsfourier.diagnostics import (SeparableTestFunction,
 from nsfourier.grid import Grid, ScalarField, VectorField, integrate_values
 import nsfourier.thermal as thermal
 from nsfourier.thermal import step_temperature
-from nsfourier.transport import advect_density, level_set_measure
+from nsfourier.transport import (advect_density, compute_feet,
+                                 level_set_measure)
 
 
 def report(name, ok):
@@ -171,7 +172,8 @@ def test_criterion_4_thermal_suite(monkeypatch):
     delta, dt = 0.5, 0.1
     grid = Grid(nx=32, ny=32)
     rho = ScalarField.constant(grid, 1.0)
-    out = step_temperature(ScalarField.constant(grid, 1.0), rho, rho, None,
+    out = step_temperature(ScalarField.constant(grid, 1.0), rho, rho,
+                           compute_feet(grid, VectorField.zero(grid), dt),
                            ScalarField.constant(grid, 0.0), dt, delta, laws)
     oracle = brentq(lambda t: (delta + 1.0) * (t - 1.0) / dt + delta * t ** 3,
                     0.0, 1.0, xtol=1e-15)
@@ -186,12 +188,13 @@ def test_criterion_4_thermal_suite(monkeypatch):
     kappa = 1.0
     dt, steps = 1e-3, 50
     zero_src = ScalarField.constant(grid, 0.0)
+    rest = compute_feet(grid, VectorField.zero(grid), dt)
     with monkeypatch.context() as mp:
         # a constant conductivity, which no ConductivityLaw gives
         mp.setattr(thermal, "eval_conductivity",
                    lambda law, theta: np.full(np.shape(theta), kappa))
         for _ in range(steps):
-            theta = step_temperature(theta, rho, rho, None, zero_src, dt,
+            theta = step_temperature(theta, rho, rho, rest, zero_src, dt,
                                      0.0, laws)
     rate = kappa * np.pi ** 2
     measured = (theta.max() - theta.min()) / 2.0
@@ -204,7 +207,8 @@ def test_criterion_4_thermal_suite(monkeypatch):
     theta = ScalarField.from_function(
         grid, lambda x, y: 0.5 + 0.2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
     before = integrate_values(grid, rho.values * theta.values)
-    out = step_temperature(theta, rho, rho, None,
+    out = step_temperature(theta, rho, rho,
+                           compute_feet(grid, VectorField.zero(grid), 0.05),
                            ScalarField.constant(grid, 0.0), 0.05, 0.0, laws)
     after = integrate_values(grid, rho.values * out.values)
     ok &= abs(after - before) <= 1e-10 * abs(before)

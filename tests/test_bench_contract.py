@@ -181,7 +181,8 @@ def test_step_temperature_calls_cg_through_scipy_once_per_newton_solve(
 
     import nsfourier.thermal as thermal
     from nsfourier.config import RunConfig
-    from nsfourier.grid import Grid, ScalarField
+    from nsfourier.grid import Grid, ScalarField, VectorField
+    from nsfourier.transport import compute_feet
 
     calls = []
     for owner, name in ((spla, "cg"), (thermal, "_newton_solve")):
@@ -193,7 +194,8 @@ def test_step_temperature_calls_cg_through_scipy_once_per_newton_solve(
     X, _ = grid.nodes()
     theta = ScalarField(grid, 0.5 + 0.1 * np.cos(np.pi * X))
     rho = ScalarField.constant(grid, 1.0)
-    thermal.step_temperature(theta, rho, rho, None,
+    thermal.step_temperature(theta, rho, rho,
+                             compute_feet(grid, VectorField.zero(grid), 0.01),
                              ScalarField.constant(grid, 1.0), 0.01, 0.5,
                              RunConfig().laws())
     assert len(calls) >= 4

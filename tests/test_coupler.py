@@ -17,7 +17,7 @@ from nsfourier.coupler import (Step, build_grid, continuation_sweep,
 from nsfourier.diagnostics import (apriori_monitor, check_energy_inequality,
                                    diagnostics_csv_text)
 from nsfourier.errors import RunError
-from nsfourier.grid import ScalarField
+from nsfourier.grid import ScalarField, integrate_values
 from nsfourier.momentum import momentum_system
 
 
@@ -319,6 +319,19 @@ def test_energy_slack_within_threshold():
     assert max(r.energy_slack for r in traj.records) <= 1e-10 * e0
 
 
+@pytest.mark.parametrize("grid", [{}, dict(nx=12, ny=20, Lx=2.0, Ly=0.7,
+                                           n_modes=6)])
+def test_still_fluid_keeps_the_thermal_energy_budget(grid):
+    # with u = 0 every Newton residual within tol has one sign, so N of
+    # them would add up to the energy guard; the uniform shift at the
+    # Newton stop takes their sum out
+    traj = run_simulation(RunConfig(m0_amplitude=0.0, theta_amp=0.05,
+                                    rho_amp=0.3, t_final=0.15, **grid))
+    assert traj.final.t == pytest.approx(0.15)
+    e0 = traj.records[0].kinetic_energy + traj.records[0].thermal_energy
+    assert max(r.energy_slack for r in traj.records) <= 1e-12 * e0
+
+
 def test_determinism_byte_identical():
     config = small_config(m0_amplitude=0.01)
     a = diagnostics_csv_text(run_simulation(config).records)
@@ -371,6 +384,60 @@ def test_sweep_identical_configs_zero_difference():
     assert report["completed"] == 2
     assert report["differences"][0]["u"] == 0.0
     assert report["differences"][0]["theta"] == 0.0
+
+
+def mixed_fields_difference(traj_a, traj_b):
+    """Space-time L2 differences of u and theta with the two states'
+    reconstructed fields mixed in time, and the L2 norms of the fields
+    themselves: the form that reconstructed twice per sample."""
+    grid = traj_a.grid
+    samples = np.linspace(0.0, min(traj_a.final.t, traj_b.final.t),
+                          coupler.DIFFERENCE_SAMPLES)
+
+    def at(traj, t):
+        times = traj.times
+        i = min(max(int(np.searchsorted(times, t, side="right") - 1), 0),
+                len(times) - 2)
+        w = min(max((t - times[i]) / (times[i + 1] - times[i]), 0.0), 1.0)
+        s0, s1 = traj.states[i], traj.states[i + 1]
+        u0, u1 = s0.velocity(traj.basis), s1.velocity(traj.basis)
+        return ((1 - w) * u0.u + w * u1.u, (1 - w) * u0.v + w * u1.v,
+                (1 - w) * s0.theta.values + w * s1.theta.values)
+
+    def l2(values):
+        return float(np.sqrt(np.trapezoid(
+            [integrate_values(grid, v) for v in values], samples)))
+
+    fa = [at(traj_a, t) for t in samples]
+    fb = [at(traj_b, t) for t in samples]
+    du = l2((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in zip(fa, fb))
+    dth = l2((a[2] - b[2]) ** 2 for a, b in zip(fa, fb))
+    norm_u = sum(l2(f[0] ** 2 + f[1] ** 2 for f in fs) for fs in (fa, fb))
+    norm_th = sum(l2(f[2] ** 2 for f in fs) for fs in (fa, fb))
+    return {"u": du, "theta": dth}, {"u": norm_u, "theta": norm_th}
+
+
+def test_sweep_difference_reconstructs_once_per_sample(monkeypatch):
+    # reconstruction is linear in the coefficients, so interpolating them
+    # in time and reconstructing once per sample matches mixing the two
+    # states' fields up to round-off on the fields' own scale
+    traj_a = run_simulation(small_config(m0_amplitude=0.01))
+    traj_b = run_simulation(small_config(m0_amplitude=0.01, n_modes=10,
+                                         dt=0.0125, eps=5e-4))
+    want, norms = mixed_fields_difference(traj_a, traj_b)
+    calls = []
+    reconstruct = coupler.reconstruct_velocity
+
+    def counted(*args):
+        calls.append(1)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(coupler, "reconstruct_velocity", counted)
+    got = coupler._field_l2_difference(traj_a, traj_b)
+    assert len(calls) == 2 * coupler.DIFFERENCE_SAMPLES
+    for key in ("u", "theta"):
+        assert want[key] > 0.0
+        assert abs(got[key] - want[key]) <= 1e-12 * norms[key]
 
 
 def test_sweep_keeps_only_the_previous_trajectory(monkeypatch):

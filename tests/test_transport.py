@@ -3,9 +3,9 @@ import pytest
 
 from nsfourier.errors import StepError
 from nsfourier.grid import Grid, ScalarField, VectorField
-from nsfourier.transport import (_midpoint_velocity, advect_density,
-                                 advect_values, bilinear_stencil,
-                                 compute_feet, level_set_measure)
+from nsfourier.transport import (_moved_back, _stencil, advect_density,
+                                 advect_values, compute_feet,
+                                 level_set_measure)
 
 
 def blob(grid, cx=0.5, cy=0.5, width=0.1):
@@ -19,86 +19,132 @@ def uniform_flow(grid, ux, uy):
                        np.full(grid.shape, float(uy)))
 
 
+def stencil_at(grid, sx, sy):
+    """The stencil at cell coordinates (sx, sy), which stay as they are."""
+    return _stencil(grid, np.array(sx, dtype=float), np.array(sy, dtype=float))
+
+
+def node_coordinates(grid):
+    """The nodes in cell units: their indices i and j."""
+    return np.meshgrid(np.arange(grid.nx + 1.0), np.arange(grid.ny + 1.0),
+                       indexing="ij")
+
+
+def assert_same_stencil(got, want):
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.tx, want.tx)
+    assert np.array_equal(got.ty, want.ty)
+
+
 def test_zero_velocity_is_identity():
     grid = Grid(nx=32, ny=32)
     rho = blob(grid)
     out, stencil = advect_density(rho, VectorField.zero(grid), 0.1)
     assert np.array_equal(out.values, rho.values)
-    assert stencil is None
+    assert_same_stencil(stencil, stencil_at(grid, *node_coordinates(grid)))
 
 
-def oracle_bilinear(grid, values, fx, fy):
-    """Bilinear interpolation gathered point by point from the 2-D array,
-    with the corner-hull clamp: the per-call form the stencil replaced."""
-    sx = np.clip(fx / grid.hx, 0.0, grid.nx)
-    sy = np.clip(fy / grid.hy, 0.0, grid.ny)
+@pytest.mark.parametrize("nx, ny, Lx, Ly", [(12, 20, 2.0, 0.7),
+                                            (24, 20, 1.0, 0.8)])
+def test_nodes_that_do_not_move_read_their_own_values(nx, ny, Lx, Ly):
+    # in cell units a node that does not move sits on a node: a zero
+    # velocity gives the stencil at the nodes, and a flow that vanishes on
+    # the walls leaves every wall node's density bit for bit
+    grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
+    assert_same_stencil(compute_feet(grid, VectorField.zero(grid), 0.05),
+                        stencil_at(grid, *node_coordinates(grid)))
+    rng = np.random.default_rng(nx * ny)
+    rho = ScalarField(grid, 1.0 + rng.random(grid.shape))
+    u, v = rng.standard_normal((2,) + grid.shape)
+    for c in (u, v):
+        c[[0, -1], :] = 0.0
+        c[:, [0, -1]] = 0.0
+    out, _ = advect_density(rho, VectorField(grid, u, v), 0.02)
+    wall = np.ones(grid.shape, dtype=bool)
+    wall[1:-1, 1:-1] = False
+    assert np.array_equal(out.values[wall], rho.values[wall])
+    assert not np.array_equal(out.values, rho.values)
+
+
+def oracle_lerp(a, b, s):
+    return (1 - s) * a + s * b
+
+
+def oracle_cell(grid, sx, sy):
+    """Corner (i, j) and fractions (tx, ty) of points at cell coordinates
+    (sx, sy) clamped to the domain."""
+    sx = np.clip(sx, 0.0, grid.nx)
+    sy = np.clip(sy, 0.0, grid.ny)
     i = np.minimum(sx.astype(int), grid.nx - 1)
     j = np.minimum(sy.astype(int), grid.ny - 1)
-    tx = sx - i
-    ty = sy - j
+    return i, j, sx - i, sy - j
+
+
+def oracle_bilinear(grid, values, sx, sy):
+    """Bilinear interpolation at cell coordinates (sx, sy), gathered point
+    by point from the 2-D array, with the corner-hull clamp: a lerp along
+    x on the cell's two y edges, then along y."""
+    i, j, tx, ty = oracle_cell(grid, sx, sy)
     v00 = values[i, j]
     v10 = values[i + 1, j]
     v01 = values[i, j + 1]
     v11 = values[i + 1, j + 1]
-    out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-           + (1 - tx) * ty * v01 + tx * ty * v11)
+    out = oracle_lerp(oracle_lerp(v00, v10, tx), oracle_lerp(v01, v11, tx), ty)
     lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
     hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
     return np.clip(out, lo, hi)
 
 
+def oracle_moved_back(grid, u, v, dt):
+    """The nodes moved back by dt (u, v) in cell units: node index minus
+    dt u / h."""
+    return (np.arange(grid.nx + 1)[:, None] - u * (dt / grid.hx),
+            np.arange(grid.ny + 1)[None, :] - v * (dt / grid.hy))
+
+
 def oracle_midpoint_velocity(grid, u, dt):
-    """u and v at the midpoints, node index minus (dt/2) u / h clamped to
-    the domain in cell units, read point by point by an unclamped
-    bilinear lerp: along x on the cell's two y edges, then along y."""
-    sx = np.clip(np.arange(grid.nx + 1)[:, None] - u.u * (0.5 * dt / grid.hx),
-                 0.0, grid.nx)
-    sy = np.clip(np.arange(grid.ny + 1)[None, :] - u.v * (0.5 * dt / grid.hy),
-                 0.0, grid.ny)
-    i = np.minimum(sx.astype(int), grid.nx - 1)
-    j = np.minimum(sy.astype(int), grid.ny - 1)
-    tx = sx - i
-    ty = sy - j
+    """u and v at the midpoints, clamped to the domain in cell units, read
+    point by point by an unclamped bilinear lerp: along x on the cell's
+    two y edges, then along y."""
+    i, j, tx, ty = oracle_cell(grid, *oracle_moved_back(grid, u.u, u.v,
+                                                        0.5 * dt))
 
     def lerp(f):
-        a = f[i, j] + tx * (f[i + 1, j] - f[i, j])
-        b = f[i, j + 1] + tx * (f[i + 1, j + 1] - f[i, j + 1])
-        return a + ty * (b - a)
+        return oracle_lerp(oracle_lerp(f[i, j], f[i + 1, j], tx),
+                           oracle_lerp(f[i, j + 1], f[i + 1, j + 1], tx), ty)
 
     return lerp(u.u), lerp(u.v)
 
 
 def oracle_feet(grid, u, dt):
-    """Midpoint-backtracked feet (fx, fy) through the oracle."""
-    X, Y = grid.nodes()
-    um, vm = oracle_midpoint_velocity(grid, u, dt)
-    return (np.clip(X - dt * um, 0.0, grid.Lx),
-            np.clip(Y - dt * vm, 0.0, grid.Ly))
+    """Midpoint-backtracked feet through the oracle, in cell units."""
+    return oracle_moved_back(grid, *oracle_midpoint_velocity(grid, u, dt), dt)
 
 
 def edge_points(grid, rng):
     """Nodes, points on all four walls and at the four corners, interior
-    points, and points outside the domain on every side."""
-    X, Y = grid.nodes()
-    Lx, Ly = grid.Lx, grid.Ly
+    points, and points outside the domain on every side, in cell units."""
+    I, J = node_coordinates(grid)
+    nx, ny = grid.nx, grid.ny
     s = rng.random(40)
-    fx = [X.ravel(), s * Lx, s * Lx, np.zeros(40), np.full(40, Lx),
-          np.array([0.0, Lx, 0.0, Lx]), rng.random(200) * Lx,
-          rng.uniform(-0.5, 1.5, 200) * Lx,
-          np.array([-1e-300, np.nextafter(Lx, np.inf), -5.0])]
-    fy = [Y.ravel(), np.zeros(40), np.full(40, Ly), s * Ly, s * Ly,
-          np.array([0.0, 0.0, Ly, Ly]), rng.random(200) * Ly,
-          rng.uniform(-0.5, 1.5, 200) * Ly,
-          np.array([np.nextafter(Ly, np.inf), -1e-300, 3.0 * Ly])]
-    return np.concatenate(fx), np.concatenate(fy)
+    sx = [I.ravel(), s * nx, s * nx, np.zeros(40), np.full(40, nx),
+          np.array([0.0, nx, 0.0, nx]), rng.random(200) * nx,
+          rng.uniform(-0.5, 1.5, 200) * nx,
+          np.array([-1e-300, np.nextafter(nx, np.inf), -5.0])]
+    sy = [J.ravel(), np.zeros(40), np.full(40, ny), s * ny, s * ny,
+          np.array([0.0, 0.0, ny, ny]), rng.random(200) * ny,
+          rng.uniform(-0.5, 1.5, 200) * ny,
+          np.array([np.nextafter(ny, np.inf), -1e-300, 3.0 * ny])]
+    return np.concatenate(sx), np.concatenate(sy)
 
 
 def test_interpolation_at_nodes_exact():
     grid = Grid(nx=16, ny=16)
     rng = np.random.default_rng(0)
     values = rng.random(grid.shape)
-    X, Y = grid.nodes()
-    assert np.array_equal(bilinear_stencil(grid, X, Y).apply(values), values)
+    nodes = stencil_at(grid, *node_coordinates(grid))
+    assert np.array_equal(nodes.apply(values), values)
+    assert np.array_equal(nodes.read(values), values)
 
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", [(16, 16, 1.0, 1.0),
@@ -107,55 +153,54 @@ def test_interpolation_at_nodes_exact():
 def test_stencil_matches_the_oracle_bitwise(nx, ny, Lx, Ly):
     grid = Grid(nx=nx, ny=ny, Lx=Lx, Ly=Ly)
     rng = np.random.default_rng(nx + ny)
-    fx, fy = edge_points(grid, rng)
-    stencil = bilinear_stencil(grid, fx, fy)
+    sx, sy = edge_points(grid, rng)
+    stencil = stencil_at(grid, sx, sy)
     for values in (rng.standard_normal(grid.shape),
                    1.0 + rng.random(grid.shape) * 1e-12,
                    np.exp(40 * rng.standard_normal(grid.shape))):
-        expected = oracle_bilinear(grid, values, fx, fy)
+        expected = oracle_bilinear(grid, values, sx, sy)
         assert np.array_equal(stencil.apply(values), expected)
 
 
 def test_stencil_keeps_the_corner_hull_clamp():
-    # corner values one ulp apart: the unclamped weighted sum can round
-    # outside them, and the stencil must clamp where the oracle does
+    # corner values one ulp apart: the unclamped lerps can round outside
+    # them, and the stencil must clamp where the oracle does
     grid = Grid(nx=8, ny=8)
     rng = np.random.default_rng(5)
     base = 0.1 + 0.2
     values = base + rng.integers(0, 2, grid.shape) * np.spacing(base)
-    fx, fy = rng.random(5000) * grid.Lx, rng.random(5000) * grid.Ly
-    got = bilinear_stencil(grid, fx, fy).apply(values)
-    assert np.array_equal(got, oracle_bilinear(grid, values, fx, fy))
+    sx, sy = rng.random(5000) * grid.nx, rng.random(5000) * grid.ny
+    got = stencil_at(grid, sx, sy).apply(values)
+    assert np.array_equal(got, oracle_bilinear(grid, values, sx, sy))
     assert got.min() >= values.min() and got.max() <= values.max()
 
 
 def test_feet_stencil_matches_the_oracle_bitwise():
     # u and v at the midpoints, then rho at the feet through one stencil,
-    # bitwise equal to interpolating at the oracle's points; a stencil at
-    # the midpoints also matches the oracle there
+    # bitwise equal to interpolating at the oracle's points; the stencil
+    # at the midpoints also matches the oracle there
     grid = Grid(nx=24, ny=20, Lx=1.0, Ly=0.8)
     rng = np.random.default_rng(7)
     u = VectorField(grid, rng.standard_normal(grid.shape),
                     rng.standard_normal(grid.shape))
     rho = ScalarField(grid, 1.0 + rng.random(grid.shape))
     for dt in (0.01, 0.05):
-        X, Y = grid.nodes()
-        mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
-        my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
-        mid = bilinear_stencil(grid, mx, my)
+        mx, my = oracle_moved_back(grid, u.u, u.v, 0.5 * dt)
+        mid = _moved_back(grid, u.u, u.v, 0.5 * dt)
+        assert_same_stencil(mid, stencil_at(grid, mx, my))
         assert np.array_equal(mid.apply(u.u), oracle_bilinear(grid, u.u, mx, my))
         assert np.array_equal(mid.apply(u.v), oracle_bilinear(grid, u.v, mx, my))
-        for got, want in zip(_midpoint_velocity(grid, u, dt),
+        for got, want in zip((mid.read(u.u), mid.read(u.v)),
                              oracle_midpoint_velocity(grid, u, dt)):
             assert np.array_equal(got, want)
         fx, fy = oracle_feet(grid, u, dt)
         expected = oracle_bilinear(grid, rho.values, fx, fy)
         feet = compute_feet(grid, u, dt)
+        assert_same_stencil(feet, stencil_at(grid, fx, fy))
         assert np.array_equal(advect_values(grid, rho.values, feet), expected)
         out, stencil = advect_density(rho, u, dt)
         assert np.array_equal(out.values, expected)
-        assert np.array_equal(stencil.index, feet.index)
-        assert np.array_equal(stencil.weight, feet.weight)
+        assert_same_stencil(stencil, feet)
 
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", [(16, 16, 1.0, 1.0),
@@ -176,15 +221,16 @@ def test_midpoint_velocity_reproduces_a_bilinear_field(nx, ny, Lx, Ly):
     mx = np.clip(X - 0.5 * dt * u.u, 0.0, grid.Lx)
     my = np.clip(Y - 0.5 * dt * u.v, 0.0, grid.Ly)
     assert mx.min() == 0.0 and my.max() == grid.Ly
-    for got, want in zip(_midpoint_velocity(grid, u, dt), field(mx, my)):
+    mid = _moved_back(grid, u.u, u.v, 0.5 * dt)
+    for got, want in zip((mid.read(u.u), mid.read(u.v)), field(mx, my)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_advect_values_rejects_a_field_of_another_grid():
     grid = Grid(nx=16, ny=16)
-    X, Y = grid.nodes()
     with pytest.raises(ValueError, match="does not match grid"):
-        advect_values(grid, np.zeros((16, 16)), bilinear_stencil(grid, X, Y))
+        advect_values(grid, np.zeros((16, 16)),
+                      stencil_at(grid, *node_coordinates(grid)))
 
 
 def test_grid_nodes_are_built_once_and_read_only():
