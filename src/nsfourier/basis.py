@@ -49,6 +49,7 @@ __all__ = [
     "StreamBasis",
     "build_basis",
     "reconstruct_velocity",
+    "velocity_values",
     "assemble_weighted_gram",
     "assemble_viscous",
     "assemble_advection_matrix",
@@ -167,22 +168,38 @@ def build_basis(grid: Grid, n_modes: int) -> StreamBasis:
     return StreamBasis(grid, n_modes, pairs, X, Y, X_wall, Y_wall)
 
 
-def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray) -> VectorField:
-    """u = sum_j c_j eta_j with analytic gradients; linear in coeffs."""
+def _mode_matrix(basis: StreamBasis, coeffs) -> np.ndarray:
+    """The (P, Q) matrix C with C[p_j, q_j] = c_j and zeros elsewhere."""
+    C = np.zeros((basis.X.shape[1], basis.Y.shape[1]))
+    C[basis.p, basis.q] = coeffs
+    return C
+
+
+def velocity_values(basis: StreamBasis,
+                    coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodal u and v of sum_j c_j eta_j, without gradients: two of
+    `reconstruct_velocity`'s six triple products, for readers of the
+    velocity alone."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (basis.n_modes,):
         raise ValueError(f"expected {basis.n_modes} coefficients, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    C = np.zeros((basis.X.shape[1], basis.Y.shape[1]))
-    C[basis.p, basis.q] = c
-    X, dX, d2X = basis.X
-    Y, dY, d2Y = basis.Y
+    C = _mode_matrix(basis, c)
     (Xw, dXw), (Yw, dYw) = basis.X_wall, basis.Y_wall
     # eta = (psi_y, -psi_x) with psi = sum_j c_j X_{p_j}(x) Y_{q_j}(y)
+    return Xw.T @ (C @ dYw), -(dXw.T @ (C @ Yw))
+
+
+def reconstruct_velocity(basis: StreamBasis, coeffs: np.ndarray) -> VectorField:
+    """u = sum_j c_j eta_j with analytic gradients; linear in coeffs."""
+    u, v = velocity_values(basis, coeffs)
+    C = _mode_matrix(basis, coeffs)
+    X, dX, d2X = basis.X
+    Y, dY, d2Y = basis.Y
     du_dx = dX.T @ (C @ dY)
-    return VectorField(basis.grid, Xw.T @ (C @ dYw), -(dXw.T @ (C @ Yw)),
-                       du_dx, X.T @ (C @ d2Y), -(d2X.T @ (C @ Y)), -du_dx)
+    return VectorField(basis.grid, u, v, du_dx, X.T @ (C @ d2Y),
+                       -(d2X.T @ (C @ Y)), -du_dx)
 
 
 def _contract(basis: StreamBasis, W: np.ndarray, A: np.ndarray, B: np.ndarray,

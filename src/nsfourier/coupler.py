@@ -15,7 +15,10 @@ the step as the next step's old-density mass; a run assembles one mass
 matrix per sweep plus the initial state's.  The temperature step closes
 the step once, after convergence, because the momentum step sees only
 the previous step's temperature through the lagged viscosity; re-running
-it inside the loop would change nothing.  On step failure the time loop halves dt and
+it inside the loop would change nothing.  The dissipation field the
+temperature step is fed stays on the new state (`FluidState.diss`), so
+the state's diagnostics record and the renormalized-inequality reports
+read the step's own field.  On step failure the time loop halves dt and
 retries, up to five halvings.
 """
 
@@ -65,30 +68,27 @@ def initial_state(config: RunConfig, grid: Grid, basis: StreamBasis) -> FluidSta
 
 @dataclass(frozen=True)
 class Step:
-    """One converged time step: the new state, its velocity, the Galerkin
-    mass matrix of its density, the dissipation field
-    2 mu(theta_old)|D(u_new)|^2 the temperature step was fed (None for
-    the initial state), and the relative coefficient change of each
-    Picard sweep.
+    """One converged time step: the new state, which holds the
+    dissipation field the temperature step was fed, its velocity, the
+    Galerkin mass matrix of its density, and the relative coefficient
+    change of each Picard sweep.
 
-    `fixed_point_step` returns the velocity with its analytic gradients
-    and the dissipation field, which only the state's diagnostics record
-    reads.  Once that record is made, the run carries the step on as
-    `carried()`: u and v alone, the mass matrix, and no dissipation
-    field, which is all the next step reads.  The carried step must
-    outlive the whole next step, because a failed step is retried, with
-    dt halved, from it."""
+    `fixed_point_step` returns the velocity with its analytic gradients,
+    which only the state's diagnostics record reads.  Once that record is
+    made, the run carries the step on as `carried()`: u and v alone and
+    the mass matrix, which is all the next step reads.  The carried step
+    must outlive the whole next step, because a failed step is retried,
+    with dt halved, from it."""
     state: FluidState
     u_new: VectorField
     mass: np.ndarray
-    diss: ScalarField | None
     sweeps: tuple[float, ...]
 
     def carried(self) -> "Step":
         """This step as the next one reads it: the velocity without its
-        gradients, the mass matrix, and no dissipation field."""
+        gradients."""
         u = self.u_new
-        return replace(self, u_new=VectorField(u.grid, u.u, u.v), diss=None)
+        return replace(self, u_new=VectorField(u.grid, u.u, u.v))
 
 
 def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
@@ -131,9 +131,8 @@ def fixed_point_step(prev: Step, config: RunConfig, basis: StreamBasis,
     theta_new = step_temperature(state.theta, rho_new, state.rho, stencil,
                                  diss, dt, config.delta, laws)
     new = FluidState(rho=rho_new, coeffs=coeffs_k, theta=theta_new,
-                     t=state.t + dt)
-    return Step(state=new, u_new=u_new, mass=mass, diss=diss,
-                sweeps=tuple(sweeps))
+                     t=state.t + dt, diss=diss)
+    return Step(state=new, u_new=u_new, mass=mass, sweeps=tuple(sweeps))
 
 
 def _advance(prev: Step, config: RunConfig, basis: StreamBasis,
@@ -151,17 +150,16 @@ def _advance(prev: Step, config: RunConfig, basis: StreamBasis,
 
 
 def _record(traj: Trajectory, prev_record: DiagnosticsRecord | None,
-            u: VectorField, diss: ScalarField | None) -> DiagnosticsRecord:
+            u: VectorField) -> DiagnosticsRecord:
     """Diagnostics for the most recently appended state, whose velocity is
-    u; diss is the dissipation field of the step that reached it (None for
-    the initial state)."""
+    u; the step that reached it is read through the state's `diss`."""
     state = traj.final
     rep = energy_report(traj, state, u)
     if prev_record is None:
         cum_diss = cum_eps = cum_sink = 0.0
         slack = 0.0
     else:
-        sinks = step_sinks(traj, len(traj.states) - 2, u, diss)
+        sinks = step_sinks(traj, len(traj.states) - 2, u, state.diss)
         cum_diss = prev_record.cum_dissipation + sinks["dissipation"]
         cum_eps = prev_record.cum_eps_dissipation + sinks["eps_dissipation"]
         cum_sink = prev_record.cum_sink + sinks["sink"]
@@ -185,10 +183,9 @@ def run_simulation(config: RunConfig) -> Trajectory:
                       eps=config.eps, delta=config.delta)
     state = initial_state(config, grid, basis)
     step = Step(state=state, u_new=state.velocity(basis),
-                mass=assemble_weighted_gram(basis, state.rho), diss=None,
-                sweeps=())
+                mass=assemble_weighted_gram(basis, state.rho), sweeps=())
     traj.append(state)
-    traj.records.append(_record(traj, None, step.u_new, None))
+    traj.records.append(_record(traj, None, step.u_new))
     step = step.carried()
 
     rho_lo, rho_hi = state.rho.min(), state.rho.max()
@@ -205,8 +202,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
         for step in steps:
             state = step.state
             traj.append(state)
-            traj.records.append(
-                _record(traj, traj.records[-1], step.u_new, step.diss))
+            traj.records.append(_record(traj, traj.records[-1], step.u_new))
             if state.rho.min() < rho_lo - 1e-12 or state.rho.max() > rho_hi + 1e-12:
                 raise RunError("density left its initial bounds",
                                partial_trajectory=traj)
@@ -216,7 +212,7 @@ def run_simulation(config: RunConfig) -> Trajectory:
                     f"(slack {traj.records[-1].energy_slack!r})",
                     partial_trajectory=traj)
         # the next step reads the last substep's state, velocity and mass
-        # matrix only, so every other field of the substeps is freed here
+        # matrix only, so the substeps' velocity gradients are freed here
         step = step.carried()
         del steps
     return traj

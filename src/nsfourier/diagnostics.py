@@ -2,7 +2,11 @@
 
 Everything here is read-only over a computed trajectory: the total
 energy budget, the renormalized temperature inequality against a
-separable test-function family, and the a priori bound monitors.
+separable test-function family, and the a priori bound monitors.  The
+energy check and the monitors read the run's records; the renormalized
+inequality reads each state's dissipation field (`FluidState.diss`), the
+source the scheme itself fed the temperature step, and builds each
+state's u and v without gradients.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .basis import velocity_values
 from .coefficients import (RenormFunction, check_h_admissible,
                            eval_conductivity, eval_renorm)
 from .grid import grad_values, h1_sq_values, integrate_values, norm_H1
 from .state import Trajectory
-from .thermal import dissipation_field
 
 ENERGY_SLACK_FACTOR = 1e-10
 # a priori monitor: the density threshold omega of the dense set
@@ -201,9 +205,15 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
     Time quadrature is aligned with the backward-Euler stepping (flux,
     source and sink terms at the right endpoint), so the residual
     measures genuine inequality defect rather than quadrature mismatch.
-    delta and laws must be the trajectory's own; the report reads those.
+    The source term reads each state's `diss`, so every state after the
+    first must carry it; a state without it raises ValueError.  delta and
+    laws must be the trajectory's own; the report reads those.
     """
     traj.require_params(delta=delta, laws=laws)
+    for m, s in enumerate(traj.states[1:], start=1):
+        if s.diss is None:
+            raise ValueError(f"state {m} (t = {s.t!r}) has no dissipation "
+                             f"field")
     if h.dh is None:
         raise ValueError("renorm function needs derivative data")
     theta_max = max(s.theta.max() for s in traj.states)
@@ -242,14 +252,13 @@ def renorm_report(traj: Trajectory, h: RenormFunction, phi, delta: float,
         hv = eval_renorm(h, law, theta)
         # each field is dropped after its last term, so no state's fields
         # are alive together with the next state's
-        u1 = new.velocity(traj.basis)
-        diss = dissipation_field(old.viscosity(traj.laws), u1).values
-        r1 += dt_psi * (traj.delta - 1.0) * weighted(w_chi, diss * hv.h)
-        del diss
+        r1 += dt_psi * (traj.delta - 1.0) * weighted(w_chi,
+                                                     new.diss.values * hv.h)
+        u, v = velocity_values(traj.basis, new.coeffs)
         rho_H = new.rho.values * hv.H
-        t2 += dt_psi * (weighted(w_chi_x, rho_H * u1.u)
-                       + weighted(w_chi_y, rho_H * u1.v))
-        del u1, rho_H
+        t2 += dt_psi * (weighted(w_chi_x, rho_H * u)
+                       + weighted(w_chi_y, rho_H * v))
+        del u, v, rho_H
         t3 += dt_psi * weighted(w_lap_chi, hv.K_h)
         t4 -= dt_psi * traj.delta * weighted(w_chi, theta * theta * theta * hv.h)
         tgx, tgy = grad_values(grid, theta)

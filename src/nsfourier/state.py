@@ -14,10 +14,17 @@ from .grid import Grid, ScalarField, VectorField
 
 @dataclass
 class FluidState:
+    """One stored state of a run.  `diss` is the dissipation field
+    2 mu(theta_old)|D(u)|^2 the step that produced the state fed its
+    temperature step, with u this state's velocity and theta_old the
+    previous state's temperature; it is None for the initial state.  It
+    is kept so that the diagnostics record and every `renorm_report`
+    read the step's own field instead of rebuilding it."""
     rho: ScalarField
     coeffs: np.ndarray
     theta: ScalarField
     t: float
+    diss: ScalarField | None = None
 
     def velocity(self, basis: StreamBasis) -> VectorField:
         return reconstruct_velocity(basis, self.coeffs)

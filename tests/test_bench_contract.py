@@ -227,27 +227,33 @@ def test_tracer_assembly_work_reads_a_built_basis():
 def test_worker_certify_builds_velocities_only_for_the_ladder_and_renorm(
         monkeypatch):
     # the benchmark's certify pass: the ladder builds each state's
-    # velocity once and each of the six renorm_reports each step's; the
-    # energy check and the a priori monitor read the run's records and
-    # build none
+    # velocity with its gradients once, and each of the six renorm_reports
+    # builds u and v alone for each step's state, reading the step's
+    # dissipation field off the state; the energy check and the a priori
+    # monitor read the run's records and build none
     import contextlib
 
-    from nsfourier import coupler, momentum, state
+    from nsfourier import coupler, diagnostics, momentum, state
     from nsfourier.config import RunConfig
     from nsfourier.coupler import run_simulation
 
     config = RunConfig(nx=16, ny=16, n_modes=4, t_final=0.03, dt=0.01)
     traj = run_simulation(config)
-    calls = []
-    for module in (coupler, momentum, state):
-        def counted(*args, _fn=module.reconstruct_velocity):
-            calls.append(1)
+    calls = {"reconstruct_velocity": [], "velocity_values": []}
+    for module, name in ((coupler, "reconstruct_velocity"),
+                         (momentum, "reconstruct_velocity"),
+                         (state, "reconstruct_velocity"),
+                         (diagnostics, "velocity_values")):
+        def counted(*args, _fn=getattr(module, name), _calls=calls[name]):
+            _calls.append(1)
             return _fn(*args)
-        monkeypatch.setattr(module, "reconstruct_velocity", counted)
+        monkeypatch.setattr(module, name, counted)
     _, verdicts = _bench_module("worker").certify(
         traj, config, lambda name: contextlib.nullcontext())
     assert verdicts["energy_passes"] and verdicts["apriori_finite"]
-    assert len(calls) == len(traj.states) + 6 * (len(traj.states) - 1)
+    n = len(traj.states)
+    assert len(calls["reconstruct_velocity"]) == n
+    assert len(calls["velocity_values"]) == 6 * (n - 1)
 
 
 def test_every_snapshot_path_exists_under_its_exact_name(tmp_path,

@@ -19,6 +19,7 @@ from nsfourier.diagnostics import (apriori_monitor, check_energy_inequality,
 from nsfourier.errors import RunError
 from nsfourier.grid import ScalarField, integrate_values
 from nsfourier.momentum import momentum_system
+from nsfourier.thermal import dissipation_field
 
 
 def small_config(**overrides):
@@ -34,7 +35,7 @@ def initial_step(config):
     state = initial_state(config, grid, basis)
     return basis, Step(state=state, u_new=state.velocity(basis),
                        mass=assemble_weighted_gram(basis, state.rho),
-                       diss=None, sweeps=())
+                       sweeps=())
 
 
 def test_equilibrium_is_fixed_point():
@@ -175,13 +176,21 @@ def test_unconverged_cg_halves_the_step(monkeypatch):
     assert len(prevs) == 4
     assert prevs[1] is prevs[0]
     assert prevs[2].state is traj.states[1]
-    # the time loop carries u and v on, and nothing the record read
+    # the time loop carries u and v on, and not the gradients the record
+    # read
     for prev in (prevs[0], prevs[3]):
-        assert prev.diss is None
         u = prev.u_new
         assert all(g is None for g in (u.du_dx, u.du_dy, u.dv_dx, u.dv_dy))
         assert u.u.shape == u.v.shape == traj.grid.shape
     assert prevs[3].state is traj.states[2]
+    # every stored state, substeps included, holds the dissipation field
+    # of the step that reached it: mu at the state before it, the state's
+    # own velocity
+    assert traj.initial.diss is None
+    for old, new in zip(traj.states, traj.states[1:]):
+        diss = dissipation_field(old.viscosity(traj.laws),
+                                 new.velocity(traj.basis))
+        assert np.array_equal(new.diss.values, diss.values)
 
 
 def test_halved_steps_start_from_the_carried_mass_matrix(monkeypatch):
@@ -267,9 +276,11 @@ def test_energy_check_and_apriori_monitor_build_no_velocity(monkeypatch):
 def test_run_working_set_stays_within_its_field_budget():
     # a two-step run on a 64^2 grid, traced after a warm-up run has filled
     # the per-grid caches: the peak counts the grid, the trajectory's
-    # states and each step's live fields.  It reads about 43 fields of
-    # (nx+1)(ny+1) doubles; holding each step's dead temporaries and the
-    # carried step's gradients and dissipation field raises it to about 62
+    # states, each with its dissipation field, and each step's live
+    # fields.  It reads about 42 fields of (nx+1)(ny+1) doubles; holding
+    # each step's dead temporaries (the last sweep's velocity, the momentum
+    # system, mu(theta_old)) and the carried step's gradients raises it to
+    # about 53
     config = small_config(nx=64, ny=64, n_modes=16, t_final=0.02)
     run_simulation(config)
     tracemalloc.start()

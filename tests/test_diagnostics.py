@@ -36,10 +36,16 @@ def make_static_trajectory(theta=0.5, rho=1.0, coeffs_scale=0.0, n_states=4,
     laws = config.laws()
     traj = Trajectory(grid=grid, basis=basis, laws=laws, eps=1e-3, delta=delta)
     for i in range(n_states):
-        traj.append(FluidState(
+        state = FluidState(
             rho=ScalarField.constant(grid, rho),
             coeffs=coeffs_scale * np.ones(3),
-            theta=ScalarField.constant(grid, theta), t=0.05 * i))
+            theta=ScalarField.constant(grid, theta), t=0.05 * i)
+        if i:
+            # the field the step into this state would have fed its
+            # temperature step
+            state.diss = dissipation_field(traj.final.viscosity(laws),
+                                           state.velocity(basis))
+        traj.append(state)
     return traj
 
 
@@ -127,6 +133,8 @@ def energy_check_from_states(traj):
         u1 = states[m + 1].velocity(traj.basis)
         total_new = total(states[m + 1], u1)
         diss = dissipation_field(states[m].viscosity(traj.laws), u1)
+        # the run stored the field its step fed the temperature step
+        assert np.array_equal(states[m + 1].diss.values, diss.values)
         violation = energy_slack(total_new, total_old,
                                  step_sinks(traj, m, u1, diss))
         if violation > worst:
@@ -252,6 +260,18 @@ def test_renorm_flat_h_on_equilibrium():
         assert abs(rep["residual"]) <= 1e-10 * rep["scale"]
 
 
+def test_renorm_rejects_a_state_without_its_dissipation_field():
+    # the source term reads each step's stored field; a hand-built state
+    # without one is named, not met with an AttributeError mid-report
+    traj = make_static_trajectory(theta=0.5)
+    traj.states[2].diss = None
+    traj.states[3].diss = None
+    phi = SeparableTestFunction(traj.grid, traj.final.t, amp=0.4)
+    with pytest.raises(ValueError, match=r"state 2 \(t = 0\.1\)"):
+        renorm_report(traj, RenormFunction.power(1.0), phi, traj.delta,
+                      traj.laws)
+
+
 def test_renorm_rejects_h_without_closed_form_transforms():
     # admissible, but H and K_h of a custom h have no closed form
     traj = make_static_trajectory(theta=0.5)
@@ -358,6 +378,7 @@ def oracle_renorm_report(traj, h, phi):
         t4 -= dt * psi1 * integrate_values(
             grid, traj.delta * new.theta.values ** 3 * hv_new * phi.chi)
         diss = dissipation_field(old.viscosity(traj.laws), u1).values
+        assert np.array_equal(new.diss.values, diss)
         r1 += dt * psi1 * integrate_values(
             grid, (traj.delta - 1.0) * diss * hv_new * phi.chi)
         tgx, tgy = grad_values(grid, new.theta.values)
